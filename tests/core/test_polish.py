@@ -1,9 +1,16 @@
 """Per-sweep tests for the deterministic polishing passes."""
 
+import hashlib
+import json
+import os
+
 import pytest
 
-from repro.bench import elliptic_wave_filter
+from repro.bench import discrete_cosine_transform, elliptic_wave_filter
+from repro.bench.zoo import default_suite
+from repro.datapath.cost import CostWeights
 from repro.datapath.units import HardwareSpec, make_registers
+from repro.sched.asap import asap_length
 from repro.sched.explore import schedule_graph
 from repro.core import polish
 from repro.core.initial import initial_allocation
@@ -77,3 +84,82 @@ def test_polish_improves_initial_allocation(binding):
     start = binding.cost().total
     final = polish(binding)
     assert final < start  # the constructive start is never locally optimal
+
+
+# ---------------------------------------------------------- pinned results
+
+DIGEST_FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
+                              "polish_digests.json")
+
+#: non-default weights: latency priced, mux and wire off their defaults
+TIMING_WEIGHTS = CostWeights(mux=1.5, wire=0.2, latency=0.75)
+
+
+def _initial(graph, spec, length, extra_registers, weights=CostWeights()):
+    schedule = schedule_graph(graph, spec, length)
+    return initial_allocation(
+        schedule, spec.make_fus(schedule.min_fus()),
+        make_registers(schedule.min_registers() + extra_registers),
+        weights=weights)
+
+
+def polish_cases():
+    """name -> zero-argument builder of an initial allocation to polish."""
+    cases = {
+        "ewf": lambda: _initial(elliptic_wave_filter(), SPEC, 19, 1),
+        "ewf-timing": lambda: _initial(elliptic_wave_filter(), SPEC, 19, 1,
+                                       TIMING_WEIGHTS),
+        "dct": lambda: _initial(discrete_cosine_transform(), SPEC, 10, 1),
+    }
+    for scenario in default_suite(0):
+        def build(scenario=scenario):
+            graph = scenario.build()
+            spec = scenario.spec()
+            definition = scenario.definition
+            return _initial(graph, spec,
+                            asap_length(graph, spec) + definition.length_slack,
+                            definition.extra_registers)
+        cases[scenario.name] = build
+    return cases
+
+
+def polish_digest(binding):
+    """sha256 of a polished binding's cost and decision dicts.
+
+    Every dict is taken in iteration order: ``placements`` order feeds
+    the search RNG, so an order change is a result change.
+    """
+    cost = polish(binding)
+    document = {
+        "cost": repr(cost),
+        "placements": [[v, s, list(regs)]
+                       for (v, s), regs in binding.placements.items()],
+        "read_src": [[op, port, reg]
+                     for (op, port), reg in binding.read_src.items()],
+        "out_src": list(binding.out_src.items()),
+        "pt_impl": [[list(key), list(impl)]
+                    for key, impl in binding.pt_impl.items()],
+        "op_fu": list(binding.op_fu.items()),
+    }
+    blob = json.dumps(document, separators=(",", ":")).encode("utf-8")
+    return hashlib.sha256(blob).hexdigest()
+
+
+def test_polish_results_match_pinned_digests():
+    with open(DIGEST_FIXTURE) as handle:
+        pinned = json.load(handle)
+    cases = polish_cases()
+    assert sorted(pinned) == sorted(cases)
+    for name, build in cases.items():
+        assert polish_digest(build()) == pinned[name], name
+
+
+if __name__ == "__main__":
+    # regenerate the pinned digests (only when polish is meant to change):
+    #   PYTHONPATH=src python tests/core/test_polish.py
+    digests = {name: polish_digest(build())
+               for name, build in sorted(polish_cases().items())}
+    os.makedirs(os.path.dirname(DIGEST_FIXTURE), exist_ok=True)
+    with open(DIGEST_FIXTURE, "w") as handle:
+        json.dump(digests, handle, indent=2, sort_keys=True)
+        handle.write("\n")
