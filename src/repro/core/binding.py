@@ -721,8 +721,14 @@ class Binding:
     def _mark(self, key: SiteKey) -> None:
         self._dirty.add(key)
 
-    def _mark_segment_sites(self, value: str, step: int) -> None:
-        dirty = self._dirty
+    def _mark_segment_sites(self, value: str, step: int,
+                            dirty: Optional[Set[SiteKey]] = None) -> None:
+        """Mark the sites a placement change at ``(value, step)`` touches.
+
+        They go into *dirty*, by default the binding's own dirty set.
+        """
+        if dirty is None:
+            dirty = self._dirty
         if self._pred_step[(value, step)] is None:
             dirty.add(("write", value))
         dirty.add(("xfer", value, step))
@@ -731,6 +737,11 @@ class Binding:
             dirty.add(("xfer", value, succ))
         if (value, step) in self._out_sample_sites:
             dirty.add(("out", value))
+
+    # The _derive_* rules read the decision dicts; the placement, read
+    # -source and out-source lookups can be swapped for hypothetical ones,
+    # which is how price_placements() derives a candidate's events without
+    # applying it.
 
     def _derive(self, key: SiteKey) -> List[Tuple]:
         kind = key[0]
@@ -744,13 +755,15 @@ class Binding:
             return self._derive_out(key[1])
         raise BindingError(f"unknown site {key}")
 
-    def _derive_read(self, op_name: str) -> List[Tuple]:
+    def _derive_read(self, op_name: str,
+                     read_src: Optional[Mapping] = None) -> List[Tuple]:
         fu_name = self.op_fu.get(op_name)
         if fu_name is None:
             return []
         swap = self.op_swap.get(op_name, False) \
             and op_name in self._swappable
-        read_src = self.read_src
+        if read_src is None:
+            read_src = self.read_src
         reg_out_ep = self._reg_out_ep
         fu_in_ep = self._fu_in_ep
         events = []
@@ -762,7 +775,8 @@ class Binding:
             events.append((reg_out_ep[reg], fu_in_ep[(fu_name, eff_port)]))
         return events
 
-    def _derive_write(self, value: str) -> List[Tuple]:
+    def _derive_write(self, value: str,
+                      placements: Optional[Mapping] = None) -> List[Tuple]:
         src = self._in_port_ep.get(value)
         if src is None:
             producer = self._producer[value]
@@ -776,16 +790,20 @@ class Binding:
             # straight from the FU to the output port, no register
             out_ep = self._out_port_ep.get(value)
             return [(src, out_ep)] if out_ep is not None else []
+        if placements is None:
+            placements = self.placements
         reg_in_ep = self._reg_in_ep
         return [(src, reg_in_ep[reg])
-                for reg in self.placements.get(
+                for reg in placements.get(
                     (value, self._interval[value].birth), ())]
 
-    def _derive_xfer(self, value: str, dst_step: int) -> List[Tuple]:
+    def _derive_xfer(self, value: str, dst_step: int,
+                     placements: Optional[Mapping] = None) -> List[Tuple]:
         src_step = self._pred_step[(value, dst_step)]
         if src_step is None:
             return []
-        placements = self.placements
+        if placements is None:
+            placements = self.placements
         prev = placements.get((value, src_step), ())
         if not prev:
             return []
@@ -811,11 +829,14 @@ class Binding:
                 events.append((reg_out_ep[prev[0]], reg_in_ep[dst]))
         return events
 
-    def _derive_out(self, value: str) -> List[Tuple]:
+    def _derive_out(self, value: str,
+                    out_src: Optional[Mapping] = None) -> List[Tuple]:
         out_ep = self._out_port_ep.get(value)
         if out_ep is None or value in self._port_captured:
             return []
-        reg = self.out_src.get(value)
+        if out_src is None:
+            out_src = self.out_src
+        reg = out_src.get(value)
         if reg is None:
             return []
         return [(self._reg_out_ep[reg], out_ep)]
@@ -959,6 +980,128 @@ class Binding:
         return weighted_total(self.weights, self._fu_used_area,
                               self._reg_used_count, self.ledger.mux_count,
                               self.ledger.wire_count, self.ledger.mux_depth)
+
+    def price_placements(self, changes: Mapping[Tuple[str, int],
+                                                Tuple[str, ...]]
+                         ) -> Optional[float]:
+        """Total cost after placing each segment of *changes*, unapplied.
+
+        *changes* maps ``(value, step)`` to its new register tuple; every
+        segment is assumed legal to place there (free or already held).
+        The result equals, bit for bit, what :meth:`total_cost` returns
+        after ``set_placements`` plus ``fixup_segment`` on every listed
+        segment: the read/out-source repair re-points to the new primary
+        register, the dirtied sites' old events come from the site table,
+        their new events from the same ``_derive_*`` rules :meth:`flush`
+        uses (over hypothetical lookups), and the ledger prices the net
+        connection-use change.  The binding is not touched.
+
+        Returns ``None`` — price it with a journaled mutation instead —
+        when a changed value has a pass-through (the repair may drop it,
+        moving FU use) or a segment would be left empty (the repair would
+        clear a read source).  Aborting either write also reorders
+        ``pt_impl`` or ``read_src``, which no price can reproduce.
+        """
+        if self._dirty:
+            self.flush()
+        pt_impl = self.pt_impl
+        if pt_impl:
+            values = {value for value, _step in changes}
+            if any(key[0] in values for key in pt_impl):
+                return None
+        placements = self.placements
+        read_src = self.read_src
+        out_src = self.out_src
+        reads_at = self._reads_at
+        out_sites = self._out_sample_sites
+        mark = self._mark_segment_sites
+        sites: Set[SiteKey] = set()
+        new_reads: Dict[Tuple[str, int], str] = {}
+        new_outs: Dict[str, str] = {}
+        freed: List[str] = []
+        taken: List[str] = []
+        for seg, regs in changes.items():
+            if not regs:
+                return None
+            old = placements.get(seg, ())
+            if regs != old:
+                freed.extend(old)
+                taken.extend(regs)
+                mark(seg[0], seg[1], sites)
+            # fixup_segment's source repair
+            for site in reads_at.get(seg, ()):
+                if read_src.get(site) not in regs:
+                    new_reads[site] = regs[0]
+                    sites.add(("read", site[0]))
+            if seg in out_sites and out_src.get(seg[0]) not in regs:
+                new_outs[seg[0]] = regs[0]
+                sites.add(("out", seg[0]))
+
+        view = placements.copy()
+        view.update(changes)
+        if new_reads:
+            read_src = read_src.copy()
+            read_src.update(new_reads)
+        if new_outs:
+            out_src = out_src.copy()
+            out_src.update(new_outs)
+        events = self._site_events
+        derive_xfer = self._derive_xfer
+        use_delta: Dict[Tuple, int] = {}
+        delta_get = use_delta.get
+        for key in sites:
+            kind = key[0]
+            if kind == "xfer":
+                new_events = derive_xfer(key[1], key[2], view)
+            elif kind == "read":
+                new_events = self._derive_read(key[1], read_src)
+            elif kind == "write":
+                new_events = self._derive_write(key[1], view)
+            else:
+                new_events = self._derive_out(key[1], out_src)
+            old_events = events.get(key, _NO_EVENTS)
+            if new_events == old_events:
+                continue
+            for pair in old_events:
+                use_delta[pair] = delta_get(pair, 0) - 1
+            for pair in new_events:
+                use_delta[pair] = delta_get(pair, 0) + 1
+
+        reg_count = self._reg_used_count
+        if sorted(freed) != sorted(taken):
+            load_delta: Dict[str, int] = {}
+            for reg in taken:
+                load_delta[reg] = load_delta.get(reg, 0) + 1
+            for reg in freed:
+                load_delta[reg] = load_delta.get(reg, 0) - 1
+            reg_load = self._reg_load
+            for reg, change in load_delta.items():
+                if change:
+                    before = reg_load.get(reg, 0)
+                    reg_count += (before + change > 0) - (before > 0)
+        ledger = self.ledger
+        d_mux, d_wire, d_depth = ledger.price(use_delta)
+        return weighted_total(self.weights, self._fu_used_area, reg_count,
+                              ledger.mux_count + d_mux,
+                              ledger.wire_count + d_wire,
+                              ledger.mux_depth + d_depth)
+
+    def requeue_segments(self, keys: Iterable[Tuple[str, int]]) -> None:
+        """Move the placed segments *keys* to the end of ``placements``.
+
+        :meth:`abort_move` re-inserts every segment key a move emptied and
+        refilled at the end of the dict, and that order feeds the search
+        RNG (DESIGN.md §3.3).  A caller that priced such a move with
+        :meth:`price_placements` instead of applying and aborting it calls
+        this, outside any journal bracket, to leave the same state.  As
+        after the abort, the contents, the columns and ``seg_seq`` stay
+        as they are, and one position tick is spent per key (the abort
+        restores the tick each refill stamped, but never the counter).
+        """
+        placements = self.placements
+        for key in keys:
+            placements[key] = placements.pop(key)
+            self._seg_tick += 1
 
     def cost(self) -> CostBreakdown:
         """Evaluate the current allocation cost (requires a flushed state)."""

@@ -7,11 +7,18 @@ read-source choices, whole-value register moves (R4), value-suffix hops
 candidate, keeps any strict improvement immediately, and the polish loop
 repeats until a full pass makes no progress.
 
-Every candidate runs inside a ``begin_move``/``commit_move``/``abort_move``
-journal bracket: a rejected or illegal candidate is reverted by replaying
-the binding's write journal (:meth:`~repro.core.binding.Binding.abort_move`)
-rather than by running undo closures plus a second flush — the same cheap
-reject path the randomized engine uses.
+The two placement sweeps (R3 value exchanges, R4 value moves) price each
+candidate first with :meth:`~repro.core.binding.Binding.price_placements`,
+which leaves the binding untouched; only a candidate priced as a strict
+improvement is applied.  A priced R3 reject still moves the exchanged
+segment keys to the end of ``placements``, exactly as applying and
+aborting it would (DESIGN.md §3.3).  Every applied candidate — and every
+candidate of the other sweeps — runs inside a
+``begin_move``/``commit_move``/``abort_move`` journal bracket: a rejected
+or illegal candidate is reverted by replaying the binding's write journal
+(:meth:`~repro.core.binding.Binding.abort_move`) rather than by running
+undo closures plus a second flush — the same cheap reject path the
+randomized engine uses.
 
 The randomized engine (:mod:`repro.core.improve`) supplies the global
 exploration; polishing collapses the search variance at the bottom of each
@@ -21,12 +28,12 @@ models meaningful.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import BindingError
 from repro.core.binding import Binding
 from repro.core.moves import (MoveSet, _best_pt_choice, _direct_transfers,
-                              fixup_segment, rollback)
+                              _swap_segments, fixup_segment, rollback)
 import random
 
 
@@ -103,30 +110,59 @@ def sweep_read_sources(binding: Binding, current: float) -> float:
     return current
 
 
-def sweep_value_moves(binding: Binding, current: float) -> float:
-    for value in sorted(binding.graph.values):
-        if binding.port_captured(value):
-            continue
+def _value_move_targets(binding: Binding
+                        ) -> Iterator[Tuple[str, Sequence[int], str]]:
+    """R4 candidates ``(value, steps, reg)``: every register free for the
+    whole live interval of a value not already wholly in it.  Lazy, so
+    each candidate is checked against the binding as it stands then."""
+    reg_occ = binding.reg_occ
+    placements = binding.placements
+    for value in binding.movable_values:
         steps = binding.interval(value).steps
-        for reg in sorted(binding.regs):
-            if not all(binding.reg_occ.get((reg, s)) in (None, value)
-                       for s in steps):
-                continue
-            if all(binding.segment_regs(value, s) == (reg,) for s in steps):
-                continue
-            binding.begin_move()
-            try:
-                for key in [k for k in binding.pt_impl if k[0] == value]:
-                    binding.set_pt(key[0], key[1], key[2], None)
+        for reg in binding.regs_sorted:
+            for step in steps:
+                if reg_occ.get((reg, step), value) != value:
+                    break  # another value holds reg at this step
+            else:
+                alone = (reg,)
                 for step in steps:
-                    binding.set_placements(value, step, (reg,))
-                    fixup_segment(binding, value, step)
-            except BindingError:
-                binding.abort_move()
-                continue
-            improved = _try(binding, current)
-            if improved is not None:
-                current = improved
+                    if placements.get((value, step)) != alone:
+                        yield value, steps, reg
+                        break
+
+
+def _move_value(binding: Binding, value: str, steps: Sequence[int],
+                reg: str) -> None:
+    """Apply an R4 candidate: drop the value's pass-throughs, place every
+    segment in *reg* alone and repair its sources."""
+    for key in [k for k in binding.pt_impl if k[0] == value]:
+        binding.set_pt(key[0], key[1], key[2], None)
+    for step in steps:
+        binding.set_placements(value, step, (reg,))
+        fixup_segment(binding, value, step)
+
+
+def _try_value_move(binding: Binding, value: str, steps: Sequence[int],
+                    reg: str, current: float) -> Optional[float]:
+    """Price one R4 candidate and apply it only if that improves; the
+    new cost if kept.  A priced reject leaves the binding as it was."""
+    price = binding.price_placements({(value, step): (reg,) for step in steps})
+    if price is not None and price >= current - 1e-9:
+        return None
+    binding.begin_move()
+    try:
+        _move_value(binding, value, steps, reg)
+    except BindingError:
+        binding.abort_move()
+        return None
+    return _try(binding, current)
+
+
+def sweep_value_moves(binding: Binding, current: float) -> float:
+    for value, steps, reg in _value_move_targets(binding):
+        improved = _try_value_move(binding, value, steps, reg, current)
+        if improved is not None:
+            current = improved
     return current
 
 
@@ -176,30 +212,73 @@ def sweep_segment_hops(binding: Binding, current: float,
     return current
 
 
+def _exchange_pairs(binding: Binding) -> List[Tuple[str, str, List[int]]]:
+    """R3 candidates ``(v1, v2, shared steps)``: every pair of movable
+    values (``v1`` first in sorted order) live together at some step,
+    in sorted pair order, with the shared steps ascending."""
+    values = binding.movable_values
+    steps_of: Dict[int, List[int]] = {}
+    for i, value in enumerate(values):
+        for step in binding.interval(value).steps:
+            steps_of.setdefault(step, []).append(i)
+    shared: Dict[Tuple[int, int], List[int]] = {}
+    for step in sorted(steps_of):
+        live = steps_of[step]
+        for a, i in enumerate(live):
+            for j in live[a + 1:]:
+                shared.setdefault((i, j), []).append(step)
+    return [(values[i], values[j], steps)
+            for (i, j), steps in sorted(shared.items())]
+
+
+def _exchange_values(binding: Binding, v1: str, v2: str,
+                     shared: Sequence[int]) -> None:
+    """Apply an R3 candidate: swap the two values' placements at every
+    shared step."""
+    undos: List = []
+    for step in shared:
+        _swap_segments(binding, v1, v2, step, undos)
+
+
+def _exchanged_placements(binding: Binding, v1: str, v2: str,
+                          shared: Sequence[int]
+                          ) -> Dict[Tuple[str, int], Tuple[str, ...]]:
+    """The segments an R3 candidate changes, with their new registers."""
+    placements = binding.placements
+    swapped = {}
+    for step in shared:
+        swapped[(v1, step)] = placements.get((v2, step), ())
+        swapped[(v2, step)] = placements.get((v1, step), ())
+    return swapped
+
+
+def _try_exchange(binding: Binding, v1: str, v2: str, shared: Sequence[int],
+                  current: float) -> Optional[float]:
+    """Price one R3 candidate and apply it only if that improves; the
+    new cost if kept.  A priced reject leaves the binding exactly as
+    applying and aborting the exchange would."""
+    price = binding.price_placements(
+        _exchanged_placements(binding, v1, v2, shared))
+    if price is not None and price >= current - 1e-9:
+        # the abort would re-insert each (v1, step) key, latest step first
+        binding.requeue_segments([(v1, step) for step in reversed(shared)])
+        return None
+    binding.begin_move()
+    try:
+        _exchange_values(binding, v1, v2, shared)
+    except BindingError:
+        binding.abort_move()
+        return None
+    return _try(binding, current)
+
+
 def sweep_value_exchanges(binding: Binding, current: float) -> float:
     """Try swapping the placements of every pair of values stepwise at
     their shared live steps (exhaustive R1/R3 neighborhood)."""
-    from repro.core.moves import _swap_segments
-
-    values = [v for v in sorted(binding.graph.values)
-              if not binding.port_captured(v)]
-    for i, v1 in enumerate(values):
-        steps1 = set(binding.interval(v1).steps)
-        for v2 in values[i + 1:]:
-            shared = sorted(steps1 & set(binding.interval(v2).steps))
-            if not shared:
-                continue
-            binding.begin_move()
-            undos: List = []
-            try:
-                for step in shared:
-                    _swap_segments(binding, v1, v2, step, undos)
-            except BindingError:
-                binding.abort_move()
-                continue
-            improved = _try(binding, current)
-            if improved is not None:
-                current = improved
+    for v1, v2, shared in _exchange_pairs(binding):
+        improved = _try_exchange(binding, v1, v2, shared, current)
+        if improved is not None:
+            current = improved
     return current
 
 

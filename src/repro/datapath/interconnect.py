@@ -36,7 +36,7 @@ snapshot necessarily had zero uses when it was taken.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 from repro.errors import DatapathError
 
@@ -46,6 +46,14 @@ Connection = Tuple[Endpoint, Endpoint]
 #: snapshot payload: (uses column, fanin column, mux total, wire total,
 #: depth total)
 LedgerSnapshot = Tuple[List[int], List[int], int, int, int]
+
+
+def _tree_depth(fanin: int) -> int:
+    """2-1 mux-tree levels in front of a sink with *fanin* sources.
+
+    ceil(log2(n)) == (n-1).bit_length() for n >= 2; no tree below that.
+    """
+    return (fanin - 1).bit_length() if fanin > 1 else 0
 
 
 def fu_out(fu: str) -> Endpoint:
@@ -171,6 +179,50 @@ class ConnectionLedger:
         for pair in events:
             remove_pair(pair)
 
+    def price(self, delta: Mapping[Connection, int]) -> Tuple[int, int, int]:
+        """Exact ``(Δmux, Δwire, Δdepth)`` of net use changes, unapplied.
+
+        *delta* maps ``(src, sink)`` pairs to a net change in their use
+        count.  The totals move only where a connection appears or dies,
+        and a sink's mux and tree-depth terms follow the same fanin rules
+        as :meth:`add_pair` / :meth:`remove_pair`, so the result equals
+        the total change those calls would make.  The ledger is not
+        touched.
+        """
+        slot_ids = self._slot_ids
+        uses = self._uses
+        d_wire = 0
+        fanin_delta: Dict[Endpoint, int] = {}
+        for pair, change in delta.items():
+            if not change:
+                continue
+            slot = slot_ids.get(pair)
+            before = 0 if slot is None else uses[slot]
+            after = before + change
+            if after < 0:
+                raise DatapathError(f"removing non-existent connection {pair}")
+            if before == 0:
+                step = 1
+            elif after == 0:
+                step = -1
+            else:
+                continue
+            d_wire += step
+            sink = pair[1]
+            fanin_delta[sink] = fanin_delta.get(sink, 0) + step
+        d_mux = d_depth = 0
+        sink_ids = self._sink_ids
+        fanin = self._fanin
+        for sink, change in fanin_delta.items():
+            if not change:
+                continue
+            sink_id = sink_ids.get(sink)
+            before = 0 if sink_id is None else fanin[sink_id]
+            after = before + change
+            d_mux += max(0, after - 1) - max(0, before - 1)
+            d_depth += _tree_depth(after) - _tree_depth(before)
+        return d_mux, d_wire, d_depth
+
     # -- bulk state -----------------------------------------------------------
 
     def snapshot(self) -> LedgerSnapshot:
@@ -282,7 +334,7 @@ class ConnectionLedger:
             raise DatapathError(
                 f"ledger wire total out of sync: "
                 f"{self._wire_total} != {wires}")
-        depth = sum((n - 1).bit_length() for n in fanin.values() if n > 1)
+        depth = sum(_tree_depth(n) for n in fanin.values())
         if depth != self._depth_total:
             raise DatapathError(
                 f"ledger mux-depth total out of sync: "

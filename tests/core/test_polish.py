@@ -1,5 +1,6 @@
 """Per-sweep tests for the deterministic polishing passes."""
 
+import functools
 import hashlib
 import json
 import os
@@ -7,7 +8,7 @@ import os
 import pytest
 
 from repro.bench import discrete_cosine_transform, elliptic_wave_filter
-from repro.bench.zoo import default_suite
+from repro.bench.zoo import FAMILIES, Scenario, default_suite
 from repro.datapath.cost import CostWeights
 from repro.datapath.units import HardwareSpec, make_registers
 from repro.sched.asap import asap_length
@@ -16,7 +17,12 @@ from repro.core import polish
 from repro.core.initial import initial_allocation
 from repro.core.moves import MoveSet
 from repro.core import polish as polish_mod
-from repro.core.polish import (sweep_fu_moves, sweep_operand_swaps,
+from repro.core.improve import ImproveConfig, improve
+from repro.core.polish import (_exchange_pairs, _exchange_values,
+                               _exchanged_placements, _move_value,
+                               _try_exchange, _try_value_move,
+                               _value_move_targets,
+                               sweep_fu_moves, sweep_operand_swaps,
                                sweep_passthroughs, sweep_read_sources,
                                sweep_segment_hops, sweep_value_exchanges,
                                sweep_value_moves)
@@ -103,6 +109,15 @@ def _initial(graph, spec, length, extra_registers, weights=CostWeights()):
         weights=weights)
 
 
+def _zoo_initial(scenario, weights=CostWeights()):
+    graph = scenario.build()
+    spec = scenario.spec()
+    definition = scenario.definition
+    return _initial(graph, spec,
+                    asap_length(graph, spec) + definition.length_slack,
+                    definition.extra_registers, weights)
+
+
 def polish_cases():
     """name -> zero-argument builder of an initial allocation to polish."""
     cases = {
@@ -112,14 +127,7 @@ def polish_cases():
         "dct": lambda: _initial(discrete_cosine_transform(), SPEC, 10, 1),
     }
     for scenario in default_suite(0):
-        def build(scenario=scenario):
-            graph = scenario.build()
-            spec = scenario.spec()
-            definition = scenario.definition
-            return _initial(graph, spec,
-                            asap_length(graph, spec) + definition.length_slack,
-                            definition.extra_registers)
-        cases[scenario.name] = build
+        cases[scenario.name] = functools.partial(_zoo_initial, scenario)
     return cases
 
 
@@ -152,6 +160,92 @@ def test_polish_results_match_pinned_digests():
     assert sorted(pinned) == sorted(cases)
     for name, build in cases.items():
         assert polish_digest(build()) == pinned[name], name
+
+
+# ------------------------------------------- priced R3/R4 candidates
+
+#: name -> builder(weights); the zoo families at a small size
+PRICED_CASES = {
+    "ewf": lambda w: _initial(elliptic_wave_filter(), SPEC, 19, 1, w),
+    "dct": lambda w: _initial(discrete_cosine_transform(), SPEC, 10, 1, w),
+}
+PRICED_CASES.update(
+    (family, functools.partial(
+        _zoo_initial, Scenario.make(family, **fam.params_from_size(12))))
+    for family, fam in FAMILIES.items())
+
+
+def _observed(binding):
+    """The state a rejected candidate must leave as mutation + abort does."""
+    return (binding.total_cost(), binding.clone_state(),
+            binding._seg_seq.tolist(), list(binding.placements.items()),
+            list(binding.read_src.items()), list(binding.out_src.items()),
+            list(binding.pt_impl.items()))
+
+
+def _check_candidates(ref, live, counts):
+    """Walk every R4 then R3 candidate on two identical bindings.
+
+    *ref* applies each candidate inside a journal bracket and keeps it
+    only if it strictly improves, as polish did before pricing; *live*
+    goes through the priced sweep step.  The price must equal the
+    mutated binding's ``total_cost()`` exactly, and both bindings must
+    agree after every candidate.
+    """
+    def reference(apply, price, current):
+        ref.begin_move()
+        apply(ref)
+        real = ref.total_cost()
+        if price is None:
+            counts["unpriced"] += 1
+        else:
+            counts["priced"] += 1
+            assert price == real
+        if real < current - 1e-9:
+            ref.commit_move()
+            return real
+        ref.abort_move()
+        return None
+
+    current = live.total_cost()
+    for value, steps, reg in _value_move_targets(live):
+        price = live.price_placements({(value, s): (reg,) for s in steps})
+        kept = reference(lambda b: _move_value(b, value, steps, reg),
+                         price, current)
+        assert _try_value_move(live, value, steps, reg, current) == kept
+        if kept is not None:
+            counts["kept"] += 1
+            current = kept
+        assert _observed(live) == _observed(ref)
+    for v1, v2, shared in _exchange_pairs(live):
+        price = live.price_placements(
+            _exchanged_placements(live, v1, v2, shared))
+        kept = reference(lambda b: _exchange_values(b, v1, v2, shared),
+                         price, current)
+        assert _try_exchange(live, v1, v2, shared, current) == kept
+        if kept is not None:
+            counts["kept"] += 1
+            current = kept
+        assert _observed(live) == _observed(ref)
+
+
+@pytest.mark.parametrize("weights", [CostWeights(), TIMING_WEIGHTS],
+                         ids=["default", "timing"])
+@pytest.mark.parametrize("case", sorted(PRICED_CASES))
+def test_priced_candidates_match_applied_ones(case, weights):
+    build = PRICED_CASES[case]
+    ref, live = build(weights), build(weights)
+    counts = {"priced": 0, "unpriced": 0, "kept": 0}
+    _check_candidates(ref, live, counts)
+    # searched states hold split values; polished ones pass-throughs
+    config = ImproveConfig(max_trials=2, moves_per_trial=150, seed=5,
+                           polish_trials=False)
+    for step in (lambda b: improve(b, config), polish):
+        step(ref)
+        step(live)
+        assert _observed(live) == _observed(ref)
+        _check_candidates(ref, live, counts)
+    assert counts["priced"] > 0
 
 
 if __name__ == "__main__":

@@ -165,3 +165,50 @@ class TestMuxDepth:
         ledger._depth_total = 7  # corrupt deliberately
         with pytest.raises(DatapathError, match="out of sync"):
             ledger.verify()
+
+
+class TestPrice:
+    """``price`` reports what applying a net use delta would change."""
+
+    def test_price_matches_applying_random_deltas(self):
+        import random
+        rng = random.Random(11)
+        ledger = ConnectionLedger()
+        for _ in range(300):
+            delta = {}
+            for _ in range(rng.randrange(1, 8)):
+                pair = (reg_out(f"R{rng.randrange(6)}"),
+                        fu_in(f"f{rng.randrange(2)}", rng.randrange(2)))
+                low = -(ledger.uses(*pair) + delta.get(pair, 0))
+                delta[pair] = delta.get(pair, 0) + rng.randint(max(low, -2), 2)
+            before = (ledger.mux_count, ledger.wire_count, ledger.mux_depth)
+            priced = ledger.price(delta)
+            assert (ledger.mux_count, ledger.wire_count,
+                    ledger.mux_depth) == before  # read-only
+            for pair, change in delta.items():
+                for _ in range(change):
+                    ledger.add_pair(pair)
+                for _ in range(-change):
+                    ledger.remove_pair(pair)
+            ledger.verify()
+            assert priced == (ledger.mux_count - before[0],
+                              ledger.wire_count - before[1],
+                              ledger.mux_depth - before[2])
+
+    def test_price_of_a_swap_between_sinks(self):
+        ledger = ConnectionLedger()
+        for i in range(3):  # 3:1 at f.0 (mux 2, depth 2), 1:1 at f.1
+            ledger.add(reg_out(f"R{i}"), fu_in("f", 0))
+        ledger.add(reg_out("R0"), fu_in("f", 1))
+        moved = {(reg_out("R2"), fu_in("f", 0)): -1,
+                 (reg_out("R2"), fu_in("f", 1)): 1}
+        # f.0 drops to 2:1 (mux 1, depth 1), f.1 rises to 2:1 (mux 1,
+        # depth 1): the mux total holds, depth holds, wires hold
+        assert ledger.price(moved) == (0, 0, 0)
+        assert ledger.price({(reg_out("R3"), fu_in("f", 0)): 1}) == (1, 1, 0)
+        assert ledger.price({(reg_out("R3"), reg_in("X")): 2}) == (0, 1, 0)
+
+    def test_price_rejects_removing_absent_uses(self):
+        ledger = ConnectionLedger()
+        with pytest.raises(DatapathError, match="non-existent"):
+            ledger.price({(reg_out("R0"), fu_in("f", 0)): -1})

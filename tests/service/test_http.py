@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 
 import pytest
@@ -126,3 +127,52 @@ def test_cancel_unknown_job_is_404(service_url):
 def test_cli_smoke_command_passes():
     from repro.service.__main__ import main
     assert main(["smoke"]) == 0
+
+
+class _CountingWriter:
+    """Wraps a handler's ``wfile`` and logs every write call."""
+
+    def __init__(self, inner, log):
+        self._inner = inner
+        self._log = log
+
+    def write(self, data):
+        self._log.append(len(data))
+        return self._inner.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+def test_reply_is_one_write_on_a_kept_alive_connection():
+    """Regression: headers and body went out in two writes, so on a
+    kept-alive connection each reply's body waited for the client's
+    delayed ACK of the headers (Nagle), ~40 ms per request.  Every reply
+    must leave in one write, and the connection must stay open."""
+    harness = ServerThread(workers=1, persistent_cache=False)
+    writes = []
+    handler = harness.server.RequestHandlerClass
+
+    class CountingHandler(handler):
+        def setup(self):
+            super().setup()
+            self.wfile = _CountingWriter(self.wfile, writes)
+
+    harness.server.RequestHandlerClass = CountingHandler
+    with harness:
+        host, port = harness.server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            sockets = set()
+            for path in ("/healthz", "/healthz", "/nope", "/metricsz"):
+                before = len(writes)
+                conn.request("GET", path)
+                reply = conn.getresponse()
+                body = reply.read()
+                assert json.loads(body)
+                assert not reply.will_close
+                sockets.add(id(conn.sock))
+                assert len(writes) - before == 1, path
+            assert len(sockets) == 1  # one kept-alive connection throughout
+        finally:
+            conn.close()
