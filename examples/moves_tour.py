@@ -13,7 +13,7 @@ from repro.bench import hal_diffeq
 from repro.datapath.units import HardwareSpec, make_registers
 from repro.sched import schedule_graph
 from repro.core import initial_allocation
-from repro.core.moves import MoveSet, rollback
+from repro.core.moves import MoveSet
 
 DESCRIPTIONS = {
     "F1": "FU Exchange: exchange binding of 2 FUs",
@@ -46,26 +46,23 @@ def main() -> None:
     moves = {name: fn for name, fn, _w in MoveSet().enabled_moves()}
     # some moves need prior structure: hops create transfers for F4/F5,
     # splits create copies for R6
-    warmup = ["R2b", "R2b", "F4", "R5"]
-    kept = []
-    for name in warmup:
-        undos = moves[name](binding, rng)
-        if undos:
-            kept.append((name, undos))
+    for name in ["R2b", "R2b", "F4", "R5"]:
+        moves[name](binding, rng)
     staged = binding.cost().total
     print(f"(after staging some transfers/copies: total {staged:.2f})\n")
 
     order = ["F1", "F2", "F3", "F4", "F5",
              "R1", "R2", "R2b", "R3", "R4", "R5", "R6"]
     for name in order:
-        undos = moves[name](binding, rng)
-        if undos is None:
+        # the write journal records the move so abort_move can revert it
+        binding.begin_move()
+        if not moves[name](binding, rng):
+            binding.commit_move()
             print(f"  {name:3s} {DESCRIPTIONS[name]:58s} (not applicable)")
             continue
         delta = binding.cost().total - staged
         print(f"  {name:3s} {DESCRIPTIONS[name]:58s} dCost {delta:+6.2f}")
-        rollback(undos)
-        binding.flush()
+        binding.abort_move()
 
     print(f"\nevery move rolled back; cost restored to "
           f"{binding.cost().total:.2f}")

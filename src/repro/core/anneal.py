@@ -44,9 +44,6 @@ class AnnealConfig:
     #: alongside the annealing; also forced on by ``REPRO_SANITIZE=1``
     sanitize: bool = False
     sanitize_every: int = 64
-    #: accept-test via the O(1) ``Binding.total_cost()`` fast path (debug
-    #: knob, bit-identical to the ``CostBreakdown`` path)
-    fast_cost: bool = True
     #: cooperative cancellation/deadline hook, checked once per attempted
     #: move; returning True ends the run at the best state seen so far
     #: with ``ImproveStats.stopped_early`` set (see ``ImproveConfig``)
@@ -98,16 +95,12 @@ def anneal(binding: Binding,
             if sanitizer is not None:
                 sanitizer.pre_move(name, stats.moves_attempted)
             binding.begin_move()
-            undos = fns[name](binding, rng)
-            if undos is None:
-                binding.commit_move()  # no-op move: nothing to revert
+            if not fns[name](binding, rng):
+                binding.commit_move()  # the move wrote nothing
                 continue
             stats.moves_applied += 1
             counters.applies += 1
-            if config.fast_cost:
-                new_cost = binding.total_cost()
-            else:
-                new_cost = binding.cost().total
+            new_cost = binding.total_cost()
             delta = new_cost - current
             if delta <= 0 or rng.random() < math.exp(-delta / temperature):
                 binding.commit_move()
@@ -127,8 +120,6 @@ def anneal(binding: Binding,
                     sanitizer.after_accept(name, stats.moves_attempted)
             else:
                 counters.rollbacks += 1
-                # abort_move replays the write journal; the undo closures
-                # in `undos` are not needed on this path
                 binding.abort_move()
                 if sanitizer is not None:
                     sanitizer.after_rollback(name, stats.moves_attempted)

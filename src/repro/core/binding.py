@@ -16,11 +16,13 @@ A :class:`Binding` captures everything the paper's allocator decides
 
 Derived state (register/FU occupancy, the point-to-point connection ledger
 and its equivalent-2-1-mux total) is maintained incrementally: every
-primitive mutation returns an undo closure and marks the affected
-connection *sites* dirty; :meth:`Binding.flush` re-derives exactly the
-dirty sites.  The iterative-improvement engine applies a move as a list of
-primitives, flushes, inspects the cost, and either keeps the move or rolls
-the primitives back.
+primitive mutation marks the affected connection *sites* dirty, and
+:meth:`Binding.flush` re-derives exactly the dirty sites.  The search
+engines open a write journal (:meth:`Binding.begin_move`), apply a move as
+a sequence of primitives, inspect the cost, and either keep the move
+(:meth:`Binding.commit_move`) or replay the journal backwards
+(:meth:`Binding.abort_move`); the journal is the only way a move is
+reverted.
 
 Timing conventions are those of DESIGN.md Sec. 3; in particular a transfer
 into the segment at step ``t'`` happens during the preceding live step
@@ -34,8 +36,8 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
-                    Sequence, Set, Tuple)
+from typing import (Dict, Iterable, List, Mapping, Optional, Sequence, Set,
+                    Tuple)
 
 from repro.errors import BindingError
 from repro.cdfg.graph import CDFG
@@ -48,7 +50,6 @@ from repro.datapath.interconnect import (ConnectionLedger, fu_in, fu_out,
 from repro.datapath.units import FU, Register
 from repro.sched.schedule import Schedule
 
-Undo = Callable[[], None]
 SiteKey = Tuple
 PtImpl = Tuple[str, str, int]  # (src_reg, fu, fu_port)
 
@@ -391,17 +392,14 @@ class Binding:
 
     # ------------------------------------------------------------- primitives
 
-    def set_op_fu(self, op_name: str, fu_name: Optional[str],
-                  _validate: bool = True) -> Undo:
+    def set_op_fu(self, op_name: str, fu_name: Optional[str]) -> None:
         """(Re)bind *op_name* to *fu_name* (``None`` unbinds)."""
         op = self.graph.ops[op_name]
         old = self.op_fu.get(op_name)
         if fu_name == old:
-            return _noop
+            return
         busy = self._busy_steps[op_name]
-        if fu_name is not None and _validate:
-            # undo closures skip these checks: they restore a known-good
-            # state in reverse order, so re-validation is pure overhead
+        if fu_name is not None:
             fu = self.fus.get(fu_name)
             if fu is None:
                 raise BindingError(f"unknown FU {fu_name!r}")
@@ -472,16 +470,12 @@ class Binding:
         if op.result is not None:
             self._mark(("write", op.result))
 
-        def undo() -> None:
-            self.set_op_fu(op_name, old, _validate=False)
-        return undo
-
-    def set_op_swap(self, op_name: str, flag: bool) -> Undo:
+    def set_op_swap(self, op_name: str, flag: bool) -> None:
         """Set operand-reversal for a commutative binary operation."""
         op = self.graph.ops[op_name]
         old = self.op_swap.get(op_name, False)
         if flag == old:
-            return _noop
+            return
         if flag and (op.arity != 2 or not op.commutative):
             raise BindingError(
                 f"operand reverse illegal on {op_name!r} ({op.kind})")
@@ -497,36 +491,27 @@ class Binding:
         swap_col[op_idx] = 1 if flag else 0
         self._mark(("read", op_name))
 
-        def undo() -> None:
-            self.set_op_swap(op_name, old)
-        return undo
-
     def set_placements(self, value: str, step: int,
-                       regs: Sequence[str],
-                       _validate: bool = True) -> Undo:
+                       regs: Sequence[str]) -> None:
         """Place the segment ``(value, step)`` into *regs* (ordered copies)."""
         new = tuple(regs)
         old = self.placements.get((value, step), ())
         if new == old:
-            return _noop
-        if _validate:
-            # undo closures skip validation: they restore a known-good state
-            if (value, step) not in self._live_pairs:
-                if value in self._port_captured:
-                    raise BindingError(
-                        f"value {value!r} is port-captured; it has no "
-                        f"segments")
+            return
+        if (value, step) not in self._live_pairs:
+            if value in self._port_captured:
                 raise BindingError(
-                    f"value {value!r} is not live at step {step}")
-            if len(new) > 1 and len(set(new)) != len(new):
-                raise BindingError(f"duplicate registers in placement {new}")
-            for reg in new:
-                if reg not in self.regs:
-                    raise BindingError(f"unknown register {reg!r}")
-                occupant = self.reg_occ.get((reg, step))
-                if occupant is not None and occupant != value:
-                    raise BindingError(
-                        f"register {reg!r} holds {occupant!r} at step {step}")
+                    f"value {value!r} is port-captured; it has no segments")
+            raise BindingError(f"value {value!r} is not live at step {step}")
+        if len(new) > 1 and len(set(new)) != len(new):
+            raise BindingError(f"duplicate registers in placement {new}")
+        for reg in new:
+            if reg not in self.regs:
+                raise BindingError(f"unknown register {reg!r}")
+            occupant = self.reg_occ.get((reg, step))
+            if occupant is not None and occupant != value:
+                raise BindingError(
+                    f"register {reg!r} holds {occupant!r} at step {step}")
         # the load-counter helpers are inlined here: this is the hottest
         # primitive and the extra call per register is measurable
         reg_occ = self.reg_occ
@@ -580,16 +565,12 @@ class Binding:
         self._xfer_cache = None
         self._mark_segment_sites(value, step)
 
-        def undo() -> None:
-            self.set_placements(value, step, old, _validate=False)
-        return undo
-
     def set_read_src(self, op_name: str, port: int,
-                     reg: Optional[str]) -> Undo:
+                     reg: Optional[str]) -> None:
         """Choose which register copy consumer ``(op, port)`` reads."""
         old = self.read_src.get((op_name, port))
         if reg == old:
-            return _noop
+            return
         if reg is not None and reg not in self.regs:
             raise BindingError(f"unknown register {reg!r}")
         tables = self._tables
@@ -611,15 +592,11 @@ class Binding:
             self.read_src[(op_name, port)] = reg
         self._mark(("read", op_name))
 
-        def undo() -> None:
-            self.set_read_src(op_name, port, old)
-        return undo
-
-    def set_out_src(self, value: str, reg: Optional[str]) -> Undo:
+    def set_out_src(self, value: str, reg: Optional[str]) -> None:
         """Choose the register the output port of *value* samples."""
         old = self.out_src.get(value)
         if reg == old:
-            return _noop
+            return
         if reg is not None and reg not in self.regs:
             raise BindingError(f"unknown register {reg!r}")
         tables = self._tables
@@ -639,12 +616,8 @@ class Binding:
             self.out_src[value] = reg
         self._mark(("out", value))
 
-        def undo() -> None:
-            self.set_out_src(value, old)
-        return undo
-
     def set_pt(self, value: str, dst_step: int, dst_reg: str,
-               impl: Optional[PtImpl], _validate: bool = True) -> Undo:
+               impl: Optional[PtImpl]) -> None:
         """Set or clear the pass-through implementation of one transfer.
 
         *impl* is ``(src_reg, fu, fu_port)``; ``None`` reverts the transfer
@@ -655,7 +628,7 @@ class Binding:
         key = (value, dst_step, dst_reg)
         old = self.pt_impl.get(key)
         if impl == old:
-            return _noop
+            return
         src_step = self._pred_step.get((value, dst_step))
         if src_step is None:
             raise BindingError(
@@ -663,19 +636,16 @@ class Binding:
                 f"no transfer to implement")
         if impl is not None:
             src_reg, fu_name, fu_port = impl
-            if _validate:
-                # undo closures skip these placement-relative checks: they
-                # restore a known-good state in reverse order, so placements
-                # may transiently disagree while rolling back
-                if dst_reg in self.placements.get((value, src_step), ()):
-                    raise BindingError(
-                        f"no transfer into ({value!r}, {dst_step}, "
-                        f"{dst_reg!r}): the register already holds the "
-                        f"value at step {src_step}")
-                if src_reg not in self.placements.get((value, src_step), ()):
-                    raise BindingError(
-                        f"pass-through source {src_reg!r} does not hold "
-                        f"{value!r} at step {src_step}")
+            src_regs = self.placements.get((value, src_step), ())
+            if dst_reg in src_regs:
+                raise BindingError(
+                    f"no transfer into ({value!r}, {dst_step}, {dst_reg!r}): "
+                    f"the register already holds the value at step "
+                    f"{src_step}")
+            if src_reg not in src_regs:
+                raise BindingError(
+                    f"pass-through source {src_reg!r} does not hold "
+                    f"{value!r} at step {src_step}")
             fu = self.fus.get(fu_name)
             if fu is None:
                 raise BindingError(f"unknown FU {fu_name!r}")
@@ -711,10 +681,6 @@ class Binding:
             self.pt_impl.pop(key, None)
         self._xfer_cache = None
         self._mark(("xfer", value, dst_step))
-
-        def undo() -> None:
-            self.set_pt(value, dst_step, dst_reg, old, _validate=False)
-        return undo
 
     # ------------------------------------------------------------ site engine
 
@@ -878,7 +844,7 @@ class Binding:
     # --------------------------------------------------------- move journal
 
     def begin_move(self) -> None:
-        """Start journaling for a cheap move-reject path.
+        """Open the write journal for one move.
 
         Between :meth:`begin_move` and :meth:`commit_move` /
         :meth:`abort_move`:
@@ -890,8 +856,7 @@ class Binding:
 
         A rejected move is then reverted wholesale by :meth:`abort_move`
         — replaying the write log backwards and restoring the journaled
-        site events — instead of running the move's undo closures plus a
-        second full flush.
+        site events — with no second flush.
         """
         journal = self._journal_store
         journal.clear()
@@ -911,7 +876,7 @@ class Binding:
     def abort_move(self) -> None:
         """Revert the binding to its state at :meth:`begin_move`.
 
-        Replaces the undo-closure path entirely: the raw write log is
+        This is the only way a move is reverted: the raw write log is
         replayed most-recent-first (restoring decision dicts, occupancy
         maps, and load counters), the use-count scalars are restored from
         their snapshot, and the journaled site events go back into the
@@ -1157,7 +1122,7 @@ class Binding:
         Two bindings with the same decisions must produce bit-identical
         snapshots; :mod:`repro.verify.sanitizer` compares the live binding
         against a shadow rebuilt from :meth:`clone_state` to detect stale
-        sites, bad undo closures, or ledger drift.
+        sites, writes that escaped the journal, or ledger drift.
         """
         if self._dirty:
             self.flush()
@@ -1433,7 +1398,3 @@ class Binding:
             if self.pt_impl.get(key) != tuple(impl):
                 self.set_pt(key[0], key[1], key[2], tuple(impl))
         self.flush()
-
-
-def _noop() -> None:
-    return None

@@ -30,7 +30,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.rng import RngLike, WeightedChooser, make_rng
 from repro.core.binding import Binding
-from repro.core.moves import MoveSet, rollback
+from repro.core.moves import MoveSet
 from repro.core.polish import polish
 from repro.datapath.cost import CostBreakdown, CostWeights
 from repro.verify.sanitizer import make_sanitizer
@@ -58,10 +58,6 @@ class ImproveConfig:
     #: probe density: every Nth attempt gets a rollback round-trip check
     #: and every Nth acceptance a full shadow-rebuild equivalence check
     sanitize_every: int = 64
-    #: accept-test via the O(1) ``Binding.total_cost()`` fast path; off
-    #: reverts to building a full ``CostBreakdown`` per move (debug knob —
-    #: both paths are bit-identical, asserted by tests and the sanitizer)
-    fast_cost: bool = True
     #: when > 0, sample every Nth attempt with ``time.perf_counter_ns``
     #: and accumulate per-phase totals (propose/evaluate/rollback/restore)
     #: into ``ImproveStats.phase_ns`` / ``phase_samples``
@@ -283,14 +279,12 @@ def improve(binding: Binding,
     profile_every = config.profile_every
     # hot-loop locals: the inner loop runs tens of thousands of times per
     # second, so attribute lookups on these are hoisted out of it
-    fast_cost = config.fast_cost
     should_stop = config.should_stop
     choose = chooser.choose
     begin_move = binding.begin_move
     commit_move = binding.commit_move
     abort_move = binding.abort_move
     total_cost = binding.total_cost
-    full_cost = binding.cost
     counters_map = stats.per_move
 
     restore_churn = config.restore_churn
@@ -330,17 +324,17 @@ def improve(binding: Binding,
             begin_move()
             if sampled:
                 tick = time.perf_counter_ns()
-                undos = fns[name](binding, rng)
+                applied = fns[name](binding, rng)
                 stats.add_phase("propose", time.perf_counter_ns() - tick)
             else:
-                undos = fns[name](binding, rng)
-            if undos is None:
-                commit_move()  # no-op move: nothing to revert
+                applied = fns[name](binding, rng)
+            if not applied:
+                commit_move()  # the move wrote nothing
                 continue
             counters.applies += 1
             if sampled:
                 tick = time.perf_counter_ns()
-            new_cost = total_cost() if fast_cost else full_cost().total
+            new_cost = total_cost()
             if sampled:
                 stats.add_phase("evaluate", time.perf_counter_ns() - tick)
             accept = new_cost <= current
@@ -362,8 +356,6 @@ def improve(binding: Binding,
                     sanitizer.after_accept(name, attempted)
             else:
                 counters.rollbacks += 1
-                # abort_move replays the write journal; the undo closures
-                # in `undos` are not needed on this path
                 if sampled:
                     tick = time.perf_counter_ns()
                     abort_move()

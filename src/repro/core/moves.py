@@ -15,11 +15,12 @@ Register moves
     R5  Value Split        create a live copy of a run of segments
     R6  Value Merge        remove a copy, re-pointing its readers
 
-Every move either applies completely (returning the list of undo closures
-that reverts it) or leaves the binding untouched and returns ``None``.
-Moves keep the binding legal: they repair consumer read sources, output
-sample sources and pass-through implementations invalidated by placement
-changes (:func:`fixup_segment`).
+Every move either applies completely and returns ``True``, or writes
+nothing and returns ``False``: it checks legality before its first write,
+so no move ever has a partial mutation to take back.  Moves keep the
+binding legal: they repair consumer read sources, output sample sources
+and pass-through implementations invalidated by placement changes
+(:func:`fixup_segment`).
 
 Moves mutate the binding **only through its primitives** (``set_op_fu``,
 ``set_placements``, ``set_read_src``, ``set_pt``, …).  That is a hard
@@ -29,11 +30,9 @@ journal, which is what makes ``Binding.abort_move()`` (journal replay)
 and the diff-replay ``restore_state()`` sound.  A move that poked a dict
 or a column directly would bypass both, and the next rollback or restore
 would silently corrupt the search (see DESIGN.md §3.3; the shadow-state
-sanitizer exists to catch exactly this).  The undo closures returned by a
-move re-execute primitives too, so engines may revert with either the
-closures or the journal — ``improve``/``anneal``/``polish`` all use the
-journal; the closures remain for nested partial reverts inside a still
--open move (e.g. the pass-through trial in ``polish.sweep_segment_hops``).
+sanitizer exists to catch exactly this).  The journal is the only way an
+applied move is reverted: engines bracket each move with
+``begin_move()`` and then ``commit_move()`` or ``abort_move()``.
 """
 
 from __future__ import annotations
@@ -42,38 +41,32 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import BindingError
-from repro.core.binding import Binding, Undo
+from repro.core.binding import Binding
 
-MoveFn = Callable[[Binding, random.Random], Optional[List[Undo]]]
+#: a move: applies itself and returns True, or writes nothing and
+#: returns False
+MoveFn = Callable[[Binding, random.Random], bool]
 
 #: how many random element picks a move attempts before giving up
 _TRIES = 12
 
 
-def rollback(undos: List[Undo]) -> None:
-    """Revert a sequence of primitive mutations (most recent first)."""
-    for undo in reversed(undos):
-        undo()
-
-
 # --------------------------------------------------------------------- fixups
 
-def fixup_segment(binding: Binding, value: str, step: int) -> List[Undo]:
+def fixup_segment(binding: Binding, value: str, step: int) -> None:
     """Repair read/out sources and pass-throughs after a placement change."""
-    undos: List[Undo] = []
     placements = binding.placements
     regs = placements.get((value, step), ())
     primary = regs[0] if regs else None
     read_src = binding.read_src
     for op_name, port in binding.reads_of(value, step):
         if read_src.get((op_name, port)) not in regs:
-            undos.append(binding.set_read_src(op_name, port, primary))
+            binding.set_read_src(op_name, port, primary)
     val = binding.graph.values[value]
     if val.is_output and not binding.port_captured(value) and \
             step == binding.out_sample_step(value):
         if binding.out_src.get(value) not in regs:
-            undos.append(binding.set_out_src(value, primary))
+            binding.set_out_src(value, primary)
 
     pt_impl = binding.pt_impl
     if pt_impl:
@@ -89,7 +82,7 @@ def fixup_segment(binding: Binding, value: str, step: int) -> List[Undo]:
                 impl = pt_impl[key]
                 if dst not in regs or dst in prev_regs \
                         or impl[0] not in prev_regs:
-                    undos.append(binding.set_pt(value, step, dst, None))
+                    binding.set_pt(value, step, dst, None)
         # pass-throughs out of this step (into the successor)
         if succ is not None:
             succ_regs = placements.get((value, succ), ())
@@ -99,8 +92,7 @@ def fixup_segment(binding: Binding, value: str, step: int) -> List[Undo]:
                 impl = pt_impl[key]
                 if impl[0] not in regs or dst in regs \
                         or dst not in succ_regs:
-                    undos.append(binding.set_pt(value, succ, dst, None))
-    return undos
+                    binding.set_pt(value, succ, dst, None)
 
 
 def _movable_values(binding: Binding) -> Sequence[str]:
@@ -109,12 +101,11 @@ def _movable_values(binding: Binding) -> Sequence[str]:
 
 # ------------------------------------------------------------------ FU moves
 
-def move_fu_exchange(binding: Binding,
-                     rng: random.Random) -> Optional[List[Undo]]:
+def move_fu_exchange(binding: Binding, rng: random.Random) -> bool:
     """F1: exchange the FU bindings of two operations."""
     ops = binding.ops_sorted
     if len(ops) < 2:
-        return None
+        return False
     graph_ops = binding.graph.ops
     op_fu = binding.op_fu
     supporting = binding.fus_supporting
@@ -128,10 +119,9 @@ def move_fu_exchange(binding: Binding,
             continue
         if fu1 not in supporting[graph_ops[op2].kind]:
             continue
-        # pre-check token conflicts (each op's own tokens are released
-        # before the cross-bind, so only third-party tokens conflict): a
-        # doomed exchange then costs two scans instead of three journaled
-        # mutations plus an exception-driven rollback
+        # check token conflicts before the first write (each op's own
+        # tokens are released before the cross-bind, so only third-party
+        # tokens conflict)
         t1, t2 = ("op", op1), ("op", op2)
         if any((t := tokens.get((fu1, s))) is not None and t != t1
                for s in binding.busy_steps(op2)):
@@ -139,23 +129,18 @@ def move_fu_exchange(binding: Binding,
         if any((t := tokens.get((fu2, s))) is not None and t != t2
                for s in binding.busy_steps(op1)):
             continue
-        undos: List[Undo] = []
-        try:
-            undos.append(binding.set_op_fu(op1, None))
-            undos.append(binding.set_op_fu(op2, fu1))
-            undos.append(binding.set_op_fu(op1, fu2))
-            return undos
-        except BindingError:
-            rollback(undos)
-    return None
+        binding.set_op_fu(op1, None)
+        binding.set_op_fu(op2, fu1)
+        binding.set_op_fu(op1, fu2)
+        return True
+    return False
 
 
-def move_fu_move(binding: Binding,
-                 rng: random.Random) -> Optional[List[Undo]]:
+def move_fu_move(binding: Binding, rng: random.Random) -> bool:
     """F2: reassign an operation to a different free FU."""
     ops = binding.ops_sorted
     if not ops:
-        return None
+        return False
     graph_ops = binding.graph.ops
     tokens = binding.fu_tokens
     by_kind = binding.fus_by_kind
@@ -168,19 +153,19 @@ def move_fu_move(binding: Binding,
                    and all((f, s) not in tokens for s in busy)]
         if not targets:
             continue
-        return [binding.set_op_fu(op_name, rng.choice(targets))]
-    return None
+        binding.set_op_fu(op_name, rng.choice(targets))
+        return True
+    return False
 
 
-def move_operand_reverse(binding: Binding,
-                         rng: random.Random) -> Optional[List[Undo]]:
+def move_operand_reverse(binding: Binding, rng: random.Random) -> bool:
     """F3: swap the input-port assignment of a commutative operation."""
     ops = binding.commutative_ops
     if not ops:
-        return None
+        return False
     op_name = rng.choice(ops)
-    flag = not binding.op_swap.get(op_name, False)
-    return [binding.set_op_swap(op_name, flag)]
+    binding.set_op_swap(op_name, not binding.op_swap.get(op_name, False))
+    return True
 
 
 def _direct_transfers(binding: Binding) -> List[Tuple[str, int, str, int]]:
@@ -241,50 +226,45 @@ def _best_pt_choice(binding: Binding, rng: random.Random, value: str,
     return rng.choice(best) if best else None
 
 
-def move_bind_passthrough(binding: Binding,
-                          rng: random.Random) -> Optional[List[Undo]]:
+def move_bind_passthrough(binding: Binding, rng: random.Random) -> bool:
     """F4: assign a slack node (transfer) to an idle pass-through FU."""
     candidates = _direct_transfers(binding)
     if not candidates:
-        return None
+        return False
     for _ in range(_TRIES):
         value, dst_step, dst_reg, src_step = rng.choice(candidates)
         impl = _best_pt_choice(binding, rng, value, dst_step, dst_reg,
                                src_step)
         if impl is None:
             continue
-        try:
-            return [binding.set_pt(value, dst_step, dst_reg, impl)]
-        except BindingError:
-            return None
-    return None
+        binding.set_pt(value, dst_step, dst_reg, impl)
+        return True
+    return False
 
 
-def move_unbind_passthrough(binding: Binding,
-                            rng: random.Random) -> Optional[List[Undo]]:
+def move_unbind_passthrough(binding: Binding, rng: random.Random) -> bool:
     """F5: revert a pass-through transfer to a direct connection."""
     if not binding.pt_impl:
-        return None
+        return False
     key = rng.choice(sorted(binding.pt_impl))
-    return [binding.set_pt(key[0], key[1], key[2], None)]
+    binding.set_pt(key[0], key[1], key[2], None)
+    return True
 
 
 # ------------------------------------------------------------- register moves
 
-def _swap_segments(binding: Binding, v1: str, v2: str, step: int,
-                   undos: List[Undo]) -> None:
+def _swap_segments(binding: Binding, v1: str, v2: str, step: int) -> None:
     """Swap the full placement tuples of two values at one step."""
     p1 = binding.segment_regs(v1, step)
     p2 = binding.segment_regs(v2, step)
-    undos.append(binding.set_placements(v1, step, ()))
-    undos.append(binding.set_placements(v2, step, p1))
-    undos.append(binding.set_placements(v1, step, p2))
-    undos.extend(fixup_segment(binding, v1, step))
-    undos.extend(fixup_segment(binding, v2, step))
+    binding.set_placements(v1, step, ())
+    binding.set_placements(v2, step, p1)
+    binding.set_placements(v1, step, p2)
+    fixup_segment(binding, v1, step)
+    fixup_segment(binding, v2, step)
 
 
-def move_segment_exchange(binding: Binding,
-                          rng: random.Random) -> Optional[List[Undo]]:
+def move_segment_exchange(binding: Binding, rng: random.Random) -> bool:
     """R1: exchange the register bindings of two segments in one step."""
     placements = binding.placements
     for _ in range(_TRIES):
@@ -294,21 +274,16 @@ def move_segment_exchange(binding: Binding,
         if len(live) < 2:
             continue
         v1, v2 = rng.sample(live, 2)
-        undos: List[Undo] = []
-        try:
-            _swap_segments(binding, v1, v2, step, undos)
-            return undos
-        except BindingError:
-            rollback(undos)
-    return None
+        _swap_segments(binding, v1, v2, step)
+        return True
+    return False
 
 
-def move_segment_move(binding: Binding,
-                      rng: random.Random) -> Optional[List[Undo]]:
+def move_segment_move(binding: Binding, rng: random.Random) -> bool:
     """R2: move one segment copy to an unused register."""
     values = _movable_values(binding)
     if not values:
-        return None
+        return False
     free_regs = binding.regs_sorted
     reg_occ = binding.reg_occ
     for _ in range(_TRIES):
@@ -323,18 +298,13 @@ def move_segment_move(binding: Binding,
             continue
         new = rng.choice(targets)
         placement = tuple(new if r == old else r for r in regs)
-        undos: List[Undo] = []
-        try:
-            undos.append(binding.set_placements(value, step, placement))
-            undos.extend(fixup_segment(binding, value, step))
-            return undos
-        except BindingError:
-            rollback(undos)
-    return None
+        binding.set_placements(value, step, placement)
+        fixup_segment(binding, value, step)
+        return True
+    return False
 
 
-def move_segment_hop(binding: Binding,
-                     rng: random.Random) -> Optional[List[Undo]]:
+def move_segment_hop(binding: Binding, rng: random.Random) -> bool:
     """R2b: relocate a *suffix run* of a value's segments to another
     register, creating exactly one mid-lifetime transfer — the canonical
     "value moves between registers during its lifetime" transformation of
@@ -342,7 +312,7 @@ def move_segment_hop(binding: Binding,
     immediately implemented as a pass-through (best re-use choice)."""
     values = binding.movable_multi_step
     if not values:
-        return None
+        return False
     placements = binding.placements
     reg_occ = binding.reg_occ
     for _ in range(_TRIES):
@@ -361,60 +331,56 @@ def move_segment_hop(binding: Binding,
         if not targets:
             continue
         new = rng.choice(targets)
-        undos: List[Undo] = []
-        try:
-            for step in run:
-                undos.append(binding.set_placements(value, step, (new,)))
-                undos.extend(fixup_segment(binding, value, step))
-            if rng.random() < 0.5 and \
-                    new not in binding.segment_regs(value, src_step):
-                impl = _best_pt_choice(binding, rng, value, run[0], new,
-                                       src_step)
-                if impl is not None:
-                    undos.append(binding.set_pt(value, run[0], new, impl))
-            return undos
-        except BindingError:
-            rollback(undos)
-    return None
+        for step in run:
+            binding.set_placements(value, step, (new,))
+            fixup_segment(binding, value, step)
+        if rng.random() < 0.5 and \
+                new not in binding.segment_regs(value, src_step):
+            impl = _best_pt_choice(binding, rng, value, run[0], new,
+                                   src_step)
+            if impl is not None:
+                binding.set_pt(value, run[0], new, impl)
+        return True
+    return False
 
 
-def move_value_exchange(binding: Binding,
-                        rng: random.Random) -> Optional[List[Undo]]:
+def move_value_exchange(binding: Binding, rng: random.Random) -> bool:
     """R3: exchange the register bindings of two whole values."""
     values = _movable_values(binding)
     if len(values) < 2:
-        return None
+        return False
     for _ in range(_TRIES):
         v1, v2 = rng.sample(values, 2)
-        steps1 = set(binding.interval(v1).steps)
-        steps2 = set(binding.interval(v2).steps)
-        shared = sorted(steps1 & steps2)
-        undos: List[Undo] = []
-        try:
-            if shared:
-                for step in shared:
-                    _swap_segments(binding, v1, v2, step, undos)
-                return undos
-            # disjoint lifetimes: swap home registers when both contiguous
-            home1 = _single_home(binding, v1)
-            home2 = _single_home(binding, v2)
-            if home1 is None or home2 is None or home1 == home2:
-                continue
-            for step in binding.interval(v1).steps:
-                if not binding.reg_free(home2, step):
-                    raise BindingError("home occupied")
-            for step in binding.interval(v1).steps:
-                undos.append(binding.set_placements(v1, step, (home2,)))
-                undos.extend(fixup_segment(binding, v1, step))
-            for step in binding.interval(v2).steps:
-                if not binding.reg_free(home1, step):
-                    raise BindingError("home occupied")
-                undos.append(binding.set_placements(v2, step, (home1,)))
-                undos.extend(fixup_segment(binding, v2, step))
-            return undos
-        except BindingError:
-            rollback(undos)
-    return None
+        steps1 = binding.interval(v1).steps
+        steps2 = binding.interval(v2).steps
+        shared = sorted(set(steps1) & set(steps2))
+        if shared:
+            for step in shared:
+                _swap_segments(binding, v1, v2, step)
+            return True
+        # disjoint lifetimes: swap home registers when both contiguous.
+        # Both homes are checked before the first write; since the
+        # lifetimes share no step, moving v1 cannot change the second check
+        home1 = _single_home(binding, v1)
+        home2 = _single_home(binding, v2)
+        if home1 is None or home2 is None or home1 == home2:
+            continue
+        if not all(binding.reg_free(home2, step) for step in steps1):
+            continue
+        if not all(binding.reg_free(home1, step) for step in steps2):
+            # this decline drops the transfer-candidate memo: F4 draws from
+            # the memo in its stored order, so the drop is part of every
+            # pinned seeded trajectory (DESIGN.md §3.3)
+            binding._xfer_cache = None
+            continue
+        for step in steps1:
+            binding.set_placements(v1, step, (home2,))
+            fixup_segment(binding, v1, step)
+        for step in steps2:
+            binding.set_placements(v2, step, (home1,))
+            fixup_segment(binding, v2, step)
+        return True
+    return False
 
 
 def _single_home(binding: Binding, value: str) -> Optional[str]:
@@ -431,12 +397,11 @@ def _single_home(binding: Binding, value: str) -> Optional[str]:
     return home
 
 
-def move_value_move(binding: Binding,
-                    rng: random.Random) -> Optional[List[Undo]]:
+def move_value_move(binding: Binding, rng: random.Random) -> bool:
     """R4: assign all segments of a value to one register."""
     values = _movable_values(binding)
     if not values:
-        return None
+        return False
     for _ in range(_TRIES):
         value = rng.choice(values)
         steps = binding.interval(value).steps
@@ -451,26 +416,21 @@ def move_value_move(binding: Binding,
         if not targets:
             continue
         new = rng.choice(targets)
-        undos: List[Undo] = []
-        try:
-            # drop all pass-throughs of this value first (no transfers remain)
-            for key in [k for k in binding.pt_impl if k[0] == value]:
-                undos.append(binding.set_pt(key[0], key[1], key[2], None))
-            for step in steps:
-                undos.append(binding.set_placements(value, step, (new,)))
-                undos.extend(fixup_segment(binding, value, step))
-            return undos
-        except BindingError:
-            rollback(undos)
-    return None
+        # drop all pass-throughs of this value first (no transfers remain)
+        for key in [k for k in binding.pt_impl if k[0] == value]:
+            binding.set_pt(key[0], key[1], key[2], None)
+        for step in steps:
+            binding.set_placements(value, step, (new,))
+            fixup_segment(binding, value, step)
+        return True
+    return False
 
 
-def move_value_split(binding: Binding,
-                     rng: random.Random) -> Optional[List[Undo]]:
+def move_value_split(binding: Binding, rng: random.Random) -> bool:
     """R5: store a live copy of a run of segments in a second register."""
     values = _movable_values(binding)
     if not values:
-        return None
+        return False
     for _ in range(_TRIES):
         value = rng.choice(values)
         steps = binding.interval(value).steps
@@ -486,31 +446,25 @@ def move_value_split(binding: Binding,
         if not targets:
             continue
         copy_reg = rng.choice(targets)
-        undos: List[Undo] = []
-        try:
-            for step in run:
-                placement = binding.segment_regs(value, step) + (copy_reg,)
-                undos.append(binding.set_placements(value, step, placement))
-                undos.extend(fixup_segment(binding, value, step))
-            # move some readers (and possibly the output port) to the copy
-            for step in run:
-                for op_name, port in binding.reads_of(value, step):
-                    if rng.random() < 0.5:
-                        undos.append(
-                            binding.set_read_src(op_name, port, copy_reg))
-            return undos
-        except BindingError:
-            rollback(undos)
-    return None
+        for step in run:
+            placement = binding.segment_regs(value, step) + (copy_reg,)
+            binding.set_placements(value, step, placement)
+            fixup_segment(binding, value, step)
+        # move some readers (and possibly the output port) to the copy
+        for step in run:
+            for op_name, port in binding.reads_of(value, step):
+                if rng.random() < 0.5:
+                    binding.set_read_src(op_name, port, copy_reg)
+        return True
+    return False
 
 
-def move_value_merge(binding: Binding,
-                     rng: random.Random) -> Optional[List[Undo]]:
+def move_value_merge(binding: Binding, rng: random.Random) -> bool:
     """R6: eliminate one copy of a value segment run."""
     multi = sorted({(v, s) for (v, s), regs in binding.placements.items()
                     if len(regs) > 1})
     if not multi:
-        return None
+        return False
     for _ in range(_TRIES):
         value, step = rng.choice(multi)
         regs = binding.segment_regs(value, step)
@@ -527,17 +481,13 @@ def move_value_merge(binding: Binding,
                 and victim in binding.segment_regs(value, steps[hi + 1]) \
                 and len(binding.segment_regs(value, steps[hi + 1])) > 1:
             hi += 1
-        undos: List[Undo] = []
-        try:
-            for s in steps[lo:hi + 1]:
-                placement = tuple(r for r in binding.segment_regs(value, s)
-                                  if r != victim)
-                undos.append(binding.set_placements(value, s, placement))
-                undos.extend(fixup_segment(binding, value, s))
-            return undos
-        except BindingError:
-            rollback(undos)
-    return None
+        for s in steps[lo:hi + 1]:
+            placement = tuple(r for r in binding.segment_regs(value, s)
+                              if r != victim)
+            binding.set_placements(value, s, placement)
+            fixup_segment(binding, value, s)
+        return True
+    return False
 
 
 # ---------------------------------------------------------------- move table

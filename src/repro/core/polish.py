@@ -15,10 +15,10 @@ segment keys to the end of ``placements``, exactly as applying and
 aborting it would (DESIGN.md §3.3).  Every applied candidate — and every
 candidate of the other sweeps — runs inside a
 ``begin_move``/``commit_move``/``abort_move`` journal bracket: a rejected
-or illegal candidate is reverted by replaying the binding's write journal
-(:meth:`~repro.core.binding.Binding.abort_move`) rather than by running
-undo closures plus a second flush — the same cheap reject path the
-randomized engine uses.
+candidate is reverted by replaying the binding's write journal
+(:meth:`~repro.core.binding.Binding.abort_move`), the same reject path the
+randomized engine uses.  Every sweep enumerates only legal candidates, so
+no candidate fails partway.
 
 The randomized engine (:mod:`repro.core.improve`) supplies the global
 exploration; polishing collapses the search variance at the bottom of each
@@ -30,10 +30,9 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.errors import BindingError
 from repro.core.binding import Binding
 from repro.core.moves import (MoveSet, _best_pt_choice, _direct_transfers,
-                              _swap_segments, fixup_segment, rollback)
+                              _swap_segments, fixup_segment)
 import random
 
 
@@ -150,11 +149,7 @@ def _try_value_move(binding: Binding, value: str, steps: Sequence[int],
     if price is not None and price >= current - 1e-9:
         return None
     binding.begin_move()
-    try:
-        _move_value(binding, value, steps, reg)
-    except BindingError:
-        binding.abort_move()
-        return None
+    _move_value(binding, value, steps, reg)
     return _try(binding, current)
 
 
@@ -188,24 +183,20 @@ def sweep_segment_hops(binding: Binding, current: float,
                 if not all(binding.reg_free(reg, s) for s in run):
                     continue
                 binding.begin_move()
-                try:
-                    for step in run:
-                        binding.set_placements(value, step, (reg,))
-                        fixup_segment(binding, value, step)
-                    if reg not in binding.segment_regs(value, src_step):
-                        hop_cost = binding.total_cost()
-                        impl = _best_pt_choice(binding, rng, value,
-                                               run[0], reg, src_step)
-                        if impl is not None:
-                            # inner trial inside the open journal: revert
-                            # with its own undo closure, not abort_move
-                            trial = [binding.set_pt(value, run[0], reg, impl)]
-                            if binding.total_cost() >= hop_cost - 1e-9:
-                                rollback(trial)
-                                binding.flush()
-                except BindingError:
-                    binding.abort_move()
-                    continue
+                for step in run:
+                    binding.set_placements(value, step, (reg,))
+                    fixup_segment(binding, value, step)
+                if reg not in binding.segment_regs(value, src_step):
+                    hop_cost = binding.total_cost()
+                    impl = _best_pt_choice(binding, rng, value, run[0], reg,
+                                           src_step)
+                    if impl is not None:
+                        # inner trial inside the open journal: the hop had
+                        # no pass-through, so clearing it again reverts it
+                        binding.set_pt(value, run[0], reg, impl)
+                        if binding.total_cost() >= hop_cost - 1e-9:
+                            binding.set_pt(value, run[0], reg, None)
+                            binding.flush()
                 improved = _try(binding, current)
                 if improved is not None:
                     current = improved
@@ -235,9 +226,8 @@ def _exchange_values(binding: Binding, v1: str, v2: str,
                      shared: Sequence[int]) -> None:
     """Apply an R3 candidate: swap the two values' placements at every
     shared step."""
-    undos: List = []
     for step in shared:
-        _swap_segments(binding, v1, v2, step, undos)
+        _swap_segments(binding, v1, v2, step)
 
 
 def _exchanged_placements(binding: Binding, v1: str, v2: str,
@@ -264,11 +254,7 @@ def _try_exchange(binding: Binding, v1: str, v2: str, shared: Sequence[int],
         binding.requeue_segments([(v1, step) for step in reversed(shared)])
         return None
     binding.begin_move()
-    try:
-        _exchange_values(binding, v1, v2, shared)
-    except BindingError:
-        binding.abort_move()
-        return None
+    _exchange_values(binding, v1, v2, shared)
     return _try(binding, current)
 
 
@@ -292,11 +278,7 @@ def sweep_passthroughs(binding: Binding, current: float,
         if impl is None:
             continue
         binding.begin_move()
-        try:
-            binding.set_pt(value, dst_step, dst_reg, impl)
-        except BindingError:
-            binding.abort_move()
-            continue
+        binding.set_pt(value, dst_step, dst_reg, impl)
         improved = _try(binding, current)
         if improved is not None:
             current = improved

@@ -15,17 +15,18 @@ graph, the scheduler, and every search seed).  A case:
    simulator (:func:`repro.datapath.simulate.verify_binding`);
 5. asserts cost-model invariants: warm-started improvement never ends worse
    than its start, multiplexer merging never increases mux cost, and
-   unbinding+rebinding a pass-through restores the exact cost and derived
-   state (pass-through removal round-trips).
+   unbinding a pass-through inside a journal bracket and aborting restores
+   the exact cost, decision state and derived state (pass-through removal
+   round-trips).
 
 Failures are bucketed by signature (:mod:`repro.verify.corpus`), greedily
 shrunk to a smallest reproducer (:mod:`repro.verify.shrink`), and emitted
 as runnable scripts.  ``python -m repro.verify`` is the CLI entry point.
 
 The module also hosts the test-only fault-injection hook
-(:class:`BrokenUndoMoveSet`, ``inject="undo"``) used to prove the pipeline
-end-to-end: an injected bad undo closure must be caught by the sanitizer,
-shrunk, and emitted as a reproducer.
+(:class:`BrokenRollbackMoveSet`, ``inject="undo"``) used to prove the
+pipeline end-to-end: a move write that bypasses the journal must be caught
+by the sanitizer, shrunk, and emitted as a reproducer.
 """
 
 from __future__ import annotations
@@ -144,7 +145,8 @@ class FuzzConfig:
     shrink_attempts: int = 48
     out_dir: Optional[str] = None
     known_buckets: Optional[str] = None
-    #: test-only fault injection ("undo" breaks one move's undo closure)
+    #: test-only fault injection ("undo" makes one move write outside the
+    #: journal, so rolling it back leaves a difference behind)
     inject: Optional[str] = None
     #: when > 0, every Nth improvement trial round-trips the binding
     #: through clone/restore (``ImproveConfig.restore_churn``), stressing
@@ -158,19 +160,17 @@ class FuzzConfig:
 
 # ------------------------------------------------------------ fault injection
 
-class BrokenUndoMoveSet(MoveSet):
+class BrokenRollbackMoveSet(MoveSet):
     """Test-only move set whose victim move cannot be rolled back cleanly.
 
     From the *arm_at*-th application of the victim move onward, the victim
-    additionally toggles one operand-swap flag *outside* all rollback
-    bookkeeping: the extra mutation is in neither the returned undo-closure
-    list (breaking engines that revert via undo closures, like ``anneal``)
-    nor the binding's write journal (breaking engines that revert via
-    ``Binding.abort_move``, like ``improve``).  The binding stays legal —
-    the toggle is an ordinary primitive — but rolling the move back leaves
-    it silently different from the pre-move state, exactly the
-    incomplete-rollback class of bug the shadow-state sanitizer exists to
-    catch.  Never use outside tests and fuzz fault-injection runs.
+    additionally toggles one operand-swap flag with the binding's write
+    journal detached, so ``Binding.abort_move`` cannot revert it.  The
+    binding stays legal — the toggle is an ordinary primitive — but rolling
+    the move back leaves it silently different from the pre-move state,
+    exactly the journal-bypass class of bug the shadow-state sanitizer
+    exists to catch.  Never use outside tests and fuzz fault-injection
+    runs.
     """
 
     def __init__(self, victim: str = "R2", arm_at: int = 1) -> None:
@@ -186,8 +186,8 @@ class BrokenUndoMoveSet(MoveSet):
 
     def _wrap(self, fn):
         def buggy(binding, rng):
-            undos = fn(binding, rng)
-            if undos:
+            applied = fn(binding, rng)
+            if applied:
                 self.applications += 1
                 if self.applications >= self.arm_at and \
                         binding.commutative_ops:
@@ -195,11 +195,11 @@ class BrokenUndoMoveSet(MoveSet):
                     raw = binding._raw_journal
                     binding._raw_journal = None  # hide from abort_move
                     try:
-                        binding.set_op_swap(  # undo deliberately dropped
+                        binding.set_op_swap(
                             op, not binding.op_swap.get(op, False))
                     finally:
                         binding._raw_journal = raw
-            return undos
+            return applied
         return buggy
 
 
@@ -207,7 +207,7 @@ def _injected_move_set(inject: Optional[str]) -> Optional[MoveSet]:
     if inject is None:
         return None
     if inject == "undo":
-        return BrokenUndoMoveSet()
+        return BrokenRollbackMoveSet()
     raise ValueError(f"unknown fault injection {inject!r}")
 
 
@@ -319,16 +319,18 @@ def _check_invariants(case: FuzzCase, trad: AllocationResult,
             raise AssertionError(
                 f"mux merge increased cost on {result.label}: {report}")
 
-    # pass-through removal round-trips: unbind + undo restores everything
+    # pass-through removal round-trips: unbind + abort restores everything
     binding = salsa.binding
     for key in sorted(binding.pt_impl):
         before_cost = binding.cost()
+        before_state = binding.clone_state()
         before_derived = binding.derived_snapshot()
-        undo = binding.set_pt(key[0], key[1], key[2], None)
+        binding.begin_move()
+        binding.set_pt(key[0], key[1], key[2], None)
         binding.flush()
-        undo()
-        binding.flush()
+        binding.abort_move()
         if binding.cost() != before_cost or \
+                binding.clone_state() != before_state or \
                 binding.derived_snapshot() != before_derived:
             raise AssertionError(
                 f"pass-through removal did not round-trip for {key}")

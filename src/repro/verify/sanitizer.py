@@ -1,9 +1,11 @@
 """Shadow-state sanitizer for the incremental binding engine.
 
-The allocator's hot loop trusts two delicate mechanisms: every move is a
-list of primitive mutations with *undo closures*, and only dirty connection
-sites are re-derived on :meth:`~repro.core.binding.Binding.flush`.  A stale
-site or a bad undo silently corrupts the mux count the whole search
+The allocator's hot loop trusts two delicate mechanisms: every primitive
+mutation is recorded in the binding's write journal, which
+:meth:`~repro.core.binding.Binding.abort_move` replays to revert a
+rejected move, and only dirty connection sites are re-derived on
+:meth:`~repro.core.binding.Binding.flush`.  A stale site or a write that
+escapes the journal silently corrupts the mux count the whole search
 optimizes.  This module is the opt-in referee for that machinery:
 
 * **shadow-rebuild equivalence** — every N accepted moves a fresh

@@ -69,9 +69,12 @@ class TestOpBinding:
     def test_undo_restores(self):
         b = small_binding()
         b.set_op_fu("op1", "adder0")
-        undo = b.set_op_fu("op1", "adder1")
-        undo()
+        b.begin_move()
+        b.set_op_fu("op1", "adder1")
+        b.abort_move()
         assert b.op_fu["op1"] == "adder0"
+        assert b.fu_tokens[("adder0", 0)] == ("op", "op1")
+        assert ("adder1", 0) not in b.fu_tokens
 
     def test_swap_requires_commutative(self):
         b = CDFGBuilder("s")
@@ -124,8 +127,9 @@ class TestPlacements:
     def test_undo(self):
         b = small_binding()
         b.set_placements("V1", 1, ("R0",))
-        undo = b.set_placements("V1", 1, ("R1",))
-        undo()
+        b.begin_move()
+        b.set_placements("V1", 1, ("R1",))
+        b.abort_move()
         assert b.segment_regs("V1", 1) == ("R0",)
         assert ("R1", 1) not in b.reg_occ
 
@@ -206,7 +210,7 @@ class TestSnapshots:
         cost = binding.cost().total
         # scramble: move an op and a value
         import random
-        from repro.core.moves import MoveSet, rollback
+        from repro.core.moves import MoveSet
         rng = random.Random(3)
         for name, fn, _w in MoveSet().enabled_moves():
             fn(binding, rng)

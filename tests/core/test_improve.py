@@ -1,8 +1,12 @@
 """Unit tests for iterative improvement, polish and annealing."""
 
+import hashlib
+import json
+
 import pytest
 
-from repro.bench import elliptic_wave_filter, hal_diffeq
+from repro.bench import (discrete_cosine_transform, elliptic_wave_filter,
+                         hal_diffeq)
 from repro.datapath.units import HardwareSpec, make_registers
 from repro.sched.explore import schedule_graph
 from repro.core import (AnnealConfig, ImproveConfig, MoveSet, anneal,
@@ -22,6 +26,34 @@ def fresh_binding(length=19, extra_regs=1):
 
 
 class TestImprove:
+    def test_dct_trajectory_matches_pinned_digest(self):
+        """A seeded search is pinned move for move: the digest covers the
+        best-cost trace, the per-move counters and the decision dicts in
+        iteration order.  This run reaches an R3 decline that drops the
+        transfer-candidate memo, whose order F4 then draws from
+        (DESIGN.md §3.3)."""
+        schedule = schedule_graph(discrete_cosine_transform(), SPEC, 10)
+        binding = initial_allocation(
+            schedule, SPEC.make_fus(schedule.min_fus()),
+            make_registers(schedule.min_registers() + 1))
+        stats = improve(binding, ImproveConfig(max_trials=3,
+                                               moves_per_trial=1500, seed=0))
+        document = {
+            "best_trace": stats.best_trace,
+            "per_move": {name: c.to_dict()
+                         for name, c in sorted(stats.per_move.items())},
+            "placements": [[v, s, list(regs)]
+                           for (v, s), regs in binding.placements.items()],
+            "read_src": [[op, port, reg]
+                         for (op, port), reg in binding.read_src.items()],
+            "pt_impl": [[list(key), list(impl)]
+                        for key, impl in binding.pt_impl.items()],
+            "op_fu": list(binding.op_fu.items()),
+        }
+        blob = json.dumps(document, separators=(",", ":")).encode("utf-8")
+        assert hashlib.sha256(blob).hexdigest() == (
+            "6ece71fdaf4b13c87b47ca6047a16e98465a91745a63354c76358bf8b6c378fd")
+
     def test_never_worse_than_initial(self):
         binding = fresh_binding()
         initial = binding.cost().total

@@ -1,16 +1,25 @@
 """Unit tests for the SALSA move set (paper Table 1).
 
 Every move is exercised through a randomized harness that checks three
-properties after each application: the binding stays legal, the undo
-closures restore the exact cost, and the ledger stays consistent.
+properties after each application: the binding stays legal, aborting the
+move's write journal restores the exact cost, and the ledger stays
+consistent.  A move that reports it did not apply must have written
+nothing at all.
 """
 
+import functools
 import random
 
 import pytest
 
+from repro.bench import discrete_cosine_transform, elliptic_wave_filter
+from repro.bench.zoo import FAMILIES, Scenario
+from repro.datapath.units import HardwareSpec, make_registers
 from repro.errors import BindingError
+from repro.sched.asap import asap_length
+from repro.sched.explore import schedule_graph
 from repro.core import moves as M
+from repro.core.initial import initial_allocation
 from repro.alloc.checker import check_binding
 
 
@@ -74,19 +83,20 @@ def run_move_many(binding, fn, seed=0, n=60, accept=lambda d: d <= 2.0):
     base = binding.cost().total
     applied = 0
     for _ in range(n):
-        undos = fn(binding, rng)
-        if undos is None:
+        binding.begin_move()
+        if not fn(binding, rng):
+            binding.commit_move()
             continue
         applied += 1
         new = binding.cost().total
         problems = check_binding(binding)
         assert problems == [], (fn.__name__, problems[:3])
         if not accept(new - base):
-            M.rollback(undos)
-            binding.flush()
+            binding.abort_move()
             assert binding.cost().total == pytest.approx(base)
             assert check_binding(binding) == []
         else:
+            binding.commit_move()
             base = new
     return applied
 
@@ -112,30 +122,28 @@ def test_f5_fires_after_f4(ewf19_binding):
         # never skip: fall back to a deterministically constructed one
         force_passthrough(ewf19_binding)
     assert ewf19_binding.pt_impl
-    undos = M.move_unbind_passthrough(ewf19_binding, rng)
-    assert undos is not None
+    assert M.move_unbind_passthrough(ewf19_binding, rng)
     assert check_binding(ewf19_binding) == []
 
 
 def test_r6_fires_after_r5(ewf19_binding):
     rng = random.Random(3)
-    made = None
+    made = False
     for _ in range(60):
         made = M.move_value_split(ewf19_binding, rng) or made
-    assert made is not None
+    assert made
     assert any(len(r) > 1 for r in ewf19_binding.placements.values())
-    undos = M.move_value_merge(ewf19_binding, rng)
-    assert undos is not None
+    assert M.move_value_merge(ewf19_binding, rng)
     assert check_binding(ewf19_binding) == []
 
 
 def test_operand_reverse_toggles(diffeq_binding):
     rng = random.Random(0)
     before = dict(diffeq_binding.op_swap)
-    undos = M.move_operand_reverse(diffeq_binding, rng)
-    assert undos is not None
+    diffeq_binding.begin_move()
+    assert M.move_operand_reverse(diffeq_binding, rng)
     assert diffeq_binding.op_swap != before
-    M.rollback(undos)
+    diffeq_binding.abort_move()
     assert {k: v for k, v in diffeq_binding.op_swap.items() if v} == \
         {k: v for k, v in before.items() if v}
 
@@ -144,8 +152,7 @@ def test_fu_exchange_swaps_assignments(ewf19_binding):
     rng = random.Random(5)
     before = dict(ewf19_binding.op_fu)
     for _ in range(30):
-        undos = M.move_fu_exchange(ewf19_binding, rng)
-        if undos is not None:
+        if M.move_fu_exchange(ewf19_binding, rng):
             break
     else:
         pytest.fail("F1 never applied")
@@ -162,8 +169,7 @@ def test_value_move_collapses_to_single_register(ewf19_binding):
     for _ in range(30):
         M.move_segment_hop(ewf19_binding, rng)  # create some splits
     for _ in range(60):
-        undos = M.move_value_move(ewf19_binding, rng)
-        if undos is not None:
+        if M.move_value_move(ewf19_binding, rng):
             break
     assert check_binding(ewf19_binding) == []
 
@@ -204,3 +210,66 @@ def test_fixup_repairs_read_sources(ewf19_binding):
             assert check_binding(binding) == []
             return
     pytest.fail("no movable read segment found")
+
+
+# ---------------------------------- a move that did not apply wrote nothing
+
+def _initial(graph, spec, length, extra_registers):
+    schedule = schedule_graph(graph, spec, length)
+    return initial_allocation(
+        schedule, spec.make_fus(schedule.min_fus()),
+        make_registers(schedule.min_registers() + extra_registers))
+
+
+def _zoo_initial(family):
+    scenario = Scenario.make(
+        family, **FAMILIES[family].params_from_size(12))
+    graph, spec = scenario.build(), scenario.spec()
+    definition = scenario.definition
+    return _initial(graph, spec,
+                    asap_length(graph, spec) + definition.length_slack,
+                    definition.extra_registers)
+
+
+#: EWF, DCT and one small scenario per zoo family
+NO_WRITE_CASES = {
+    "ewf": lambda: _initial(elliptic_wave_filter(),
+                            HardwareSpec.non_pipelined(), 19, 1),
+    "dct": lambda: _initial(discrete_cosine_transform(),
+                            HardwareSpec.non_pipelined(), 10, 1),
+}
+NO_WRITE_CASES.update((family, functools.partial(_zoo_initial, family))
+                      for family in FAMILIES)
+
+
+@pytest.fixture(scope="module")
+def no_write_bindings():
+    return {case: build() for case, build in NO_WRITE_CASES.items()}
+
+
+@pytest.mark.parametrize("name", sorted(ALL_MOVES))
+def test_move_reported_not_applied_wrote_nothing(name, no_write_bindings):
+    """Moves check legality before their first write, so a move that
+    returns False leaves the write journal empty: there is nothing to
+    revert and nothing that could reorder ``placements``."""
+    fn = ALL_MOVES[name]
+    declined = 0
+    for case in sorted(no_write_bindings):
+        binding = no_write_bindings[case].duplicate()
+        rng = random.Random(case)
+        for _ in range(150):
+            binding.begin_move()
+            if fn(binding, rng):
+                # wander: keep half of the applied moves
+                if rng.random() < 0.5:
+                    binding.commit_move()
+                else:
+                    binding.abort_move()
+                continue
+            declined += 1
+            assert binding._raw_journal == [], (case, name)
+            binding.commit_move()
+    if name == "R3":
+        # R3's disjoint-lifetime branch is the one that used to decline
+        # after writing; make sure the walk reaches it
+        assert declined > 0, "R3 never declined"

@@ -78,8 +78,7 @@ class TestTransfers:
         free = next(r for r in sorted(binding.regs)
                     if binding.reg_free(r, last))
         binding.set_placements(target, last, (free,))
-        for undo in fixup_segment(binding, target, last):
-            pass
+        fixup_segment(binding, target, last)
         binding.flush()
         netlist = build_netlist(binding)
         transfer_writes = [w for w in netlist.writes

@@ -70,7 +70,8 @@ class TestDeterminism:
 
 
 class TestInjectedBug:
-    """Acceptance: an injected bad undo is caught, shrunk and emitted."""
+    """Acceptance: an injected journal bypass is caught, shrunk and
+    emitted."""
 
     @pytest.fixture(scope="class")
     def injected_report(self, tmp_path_factory):

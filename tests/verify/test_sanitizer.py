@@ -11,7 +11,7 @@ from repro.core.initial import initial_allocation
 from repro.core.parallel import RestartJob, run_restart
 from repro.datapath.units import make_registers
 from repro.sched.explore import schedule_graph
-from repro.verify.fuzz import BrokenUndoMoveSet
+from repro.verify.fuzz import BrokenRollbackMoveSet
 from repro.verify.sanitizer import (SANITIZE_ENV, SanitizerError,
                                     ShadowSanitizer, decode_state,
                                     encode_state, make_sanitizer,
@@ -121,17 +121,18 @@ class TestShadowCheck:
 
 
 class TestInjectedUndoBug:
-    """A broken undo closure must be caught by the round-trip probe."""
+    """A move write that bypasses the journal must be caught by the
+    round-trip probe."""
 
     def _config(self, seed, sanitize=True, **kwargs):
         return ImproveConfig(max_trials=3, moves_per_trial=400,
                              uphill_per_trial=0, seed=seed,
-                             move_set=BrokenUndoMoveSet(),
+                             move_set=BrokenRollbackMoveSet(),
                              sanitize=sanitize, sanitize_every=1,
                              **kwargs)
 
-    def test_improve_catches_broken_undo(self, monkeypatch, diffeq,
-                                         nonpipe_spec):
+    def test_improve_catches_broken_rollback(self, monkeypatch, diffeq,
+                                             nonpipe_spec):
         monkeypatch.delenv(SANITIZE_ENV, raising=False)
         binding = _fresh_binding(diffeq, nonpipe_spec)
         with pytest.raises(SanitizerError) as info:
@@ -155,13 +156,13 @@ class TestInjectedUndoBug:
         binding = _fresh_binding(diffeq, nonpipe_spec)
         improve(binding, self._config(seed=3, sanitize=False))  # no raise
 
-    def test_anneal_catches_broken_undo(self, monkeypatch, diffeq,
-                                        nonpipe_spec):
+    def test_anneal_catches_broken_rollback(self, monkeypatch, diffeq,
+                                            nonpipe_spec):
         monkeypatch.delenv(SANITIZE_ENV, raising=False)
         binding = _fresh_binding(diffeq, nonpipe_spec)
         config = AnnealConfig(initial_temperature=0.05, cooling=0.8,
                               temperature_levels=4, moves_per_level=400,
-                              seed=3, move_set=BrokenUndoMoveSet(),
+                              seed=3, move_set=BrokenRollbackMoveSet(),
                               sanitize=True, sanitize_every=1)
         with pytest.raises(SanitizerError):
             anneal(binding, config)
@@ -177,7 +178,7 @@ class TestInjectedUndoBug:
                 index=0, schedule=schedule, fus=fus, regs=regs,
                 configs=(ImproveConfig(max_trials=3, moves_per_trial=400,
                                        uphill_per_trial=0, seed=3,
-                                       move_set=BrokenUndoMoveSet(),
+                                       move_set=BrokenRollbackMoveSet(),
                                        sanitize=False, sanitize_every=1),))
 
         monkeypatch.delenv(SANITIZE_ENV, raising=False)
