@@ -8,20 +8,22 @@ spends its time).
 
 import random
 
-from repro.bench import elliptic_wave_filter
+from repro.bench import discrete_cosine_transform, elliptic_wave_filter
 from repro.datapath.interconnect import ConnectionLedger, fu_in, reg_out
 from repro.datapath.simulate import verify_binding
 from repro.datapath.units import HardwareSpec, make_registers
 from repro.sched import list_schedule, schedule_graph
-from repro.core import initial_allocation
+from repro.core import initial_allocation, polish
 from repro.core.moves import MoveSet
+from repro.core.polish import (_exchange_pairs, _exchanged_placements,
+                               _value_move_targets)
 
 SPEC = HardwareSpec.non_pipelined()
 
 
-def _binding():
-    graph = elliptic_wave_filter()
-    schedule = schedule_graph(graph, SPEC, 19)
+def _binding(graph=None, length=19):
+    graph = graph if graph is not None else elliptic_wave_filter()
+    schedule = schedule_graph(graph, SPEC, length)
     return initial_allocation(
         schedule, SPEC.make_fus(schedule.min_fus()),
         make_registers(schedule.min_registers() + 1))
@@ -56,6 +58,29 @@ def test_move_apply_rollback_throughput(benchmark):
             binding.commit_move()
 
     benchmark(one_move)
+
+
+def test_price_polish_candidates_ewf(benchmark):
+    """Price every R3 and R4 candidate of a polished EWF binding, unapplied
+    (the unit of work of polish's two placement sweeps)."""
+    binding = _binding()
+    polish(binding)
+    changes = [{(value, step): (reg,) for step in steps}
+               for value, steps, reg in _value_move_targets(binding)]
+    changes += [_exchanged_placements(binding, v1, v2, shared)
+                for v1, v2, shared in _exchange_pairs(binding)]
+
+    def price_all():
+        return [binding.price_placements(change) for change in changes]
+
+    benchmark.pedantic(price_all, rounds=5, iterations=1)
+
+
+def test_polish_dct(benchmark):
+    """One full polish() of a fresh DCT initial allocation."""
+    graph = discrete_cosine_transform()
+    benchmark.pedantic(polish, setup=lambda: ((_binding(graph, 10),), {}),
+                       rounds=5, iterations=1)
 
 
 def test_list_scheduler_ewf(benchmark):

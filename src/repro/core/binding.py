@@ -52,6 +52,10 @@ from repro.sched.schedule import Schedule
 
 SiteKey = Tuple
 PtImpl = Tuple[str, str, int]  # (src_reg, fu, fu_port)
+#: a priced change's integer terms: (Δreg, Δmux, Δwire, Δdepth)
+PriceCounts = Tuple[int, int, int, int]
+#: the counts plus the net connection-use change behind them
+PriceTerms = Tuple[PriceCounts, Dict[Tuple, int]]
 
 #: shared empty event list for absent sites (never mutated)
 _NO_EVENTS: List[Tuple] = []
@@ -706,7 +710,7 @@ class Binding:
 
     # The _derive_* rules read the decision dicts; the placement, read
     # -source and out-source lookups can be swapped for hypothetical ones,
-    # which is how price_placements() derives a candidate's events without
+    # which is how placement_terms() derives a candidate's events without
     # applying it.
 
     def _derive(self, key: SiteKey) -> List[Tuple]:
@@ -946,20 +950,25 @@ class Binding:
                               self._reg_used_count, self.ledger.mux_count,
                               self.ledger.wire_count, self.ledger.mux_depth)
 
-    def price_placements(self, changes: Mapping[Tuple[str, int],
-                                                Tuple[str, ...]]
-                         ) -> Optional[float]:
-        """Total cost after placing each segment of *changes*, unapplied.
+    def placement_terms(self, changes: Mapping[Tuple[str, int],
+                                               Tuple[str, ...]]
+                        ) -> Optional[PriceTerms]:
+        """Integer cost terms of placing each segment of *changes*, unapplied.
 
         *changes* maps ``(value, step)`` to its new register tuple; every
         segment is assumed legal to place there (free or already held).
-        The result equals, bit for bit, what :meth:`total_cost` returns
-        after ``set_placements`` plus ``fixup_segment`` on every listed
-        segment: the read/out-source repair re-points to the new primary
-        register, the dirtied sites' old events come from the site table,
-        their new events from the same ``_derive_*`` rules :meth:`flush`
-        uses (over hypothetical lookups), and the ledger prices the net
+        The result describes what ``set_placements`` plus
+        ``fixup_segment`` on every listed segment would do: the
+        read/out-source repair re-points to the new primary register, the
+        dirtied sites' old events come from the site table, their new
+        events from the same ``_derive_*`` rules :meth:`flush` uses (over
+        hypothetical lookups), and the ledger prices the net
         connection-use change.  The binding is not touched.
+
+        Returns ``((Δreg, Δmux, Δwire, Δdepth), Δuses)``: the change of
+        the used-register count and of the three ledger totals, and the
+        net ``{pair: Δuses}`` behind the last three.  :meth:`price_of`
+        turns the counts into the total cost.
 
         Returns ``None`` — price it with a journaled mutation instead —
         when a changed value has a pass-through (the repair may drop it,
@@ -1032,7 +1041,7 @@ class Binding:
             for pair in new_events:
                 use_delta[pair] = delta_get(pair, 0) + 1
 
-        reg_count = self._reg_used_count
+        d_reg = 0
         if sorted(freed) != sorted(taken):
             load_delta: Dict[str, int] = {}
             for reg in taken:
@@ -1043,10 +1052,69 @@ class Binding:
             for reg, change in load_delta.items():
                 if change:
                     before = reg_load.get(reg, 0)
-                    reg_count += (before + change > 0) - (before > 0)
+                    d_reg += (before + change > 0) - (before > 0)
+        return (d_reg,) + self.ledger.price(use_delta), use_delta
+
+    def price_of(self, counts: PriceCounts) -> float:
+        """Total cost after a change with the integer terms *counts*.
+
+        The counts go through :func:`weighted_total` with the binding's
+        current counters, so the result equals, bit for bit, what
+        :meth:`total_cost` returns after the change is applied.
+        """
+        d_reg, d_mux, d_wire, d_depth = counts
         ledger = self.ledger
-        d_mux, d_wire, d_depth = ledger.price(use_delta)
-        return weighted_total(self.weights, self._fu_used_area, reg_count,
+        return weighted_total(self.weights, self._fu_used_area,
+                              self._reg_used_count + d_reg,
+                              ledger.mux_count + d_mux,
+                              ledger.wire_count + d_wire,
+                              ledger.mux_depth + d_depth)
+
+    def price_placements(self, changes: Mapping[Tuple[str, int],
+                                                Tuple[str, ...]]
+                         ) -> Optional[float]:
+        """Total cost after placing each segment of *changes*, unapplied:
+        :meth:`placement_terms` through :meth:`price_of`, or ``None``."""
+        terms = self.placement_terms(changes)
+        return None if terms is None else self.price_of(terms[0])
+
+    def price_passthrough(self, terms: PriceTerms, value: str,
+                          dst_step: int, dst_reg: str,
+                          impl: PtImpl) -> float:
+        """Total cost after the change priced as *terms* plus the
+        pass-through *impl* for the transfer into ``(value, dst_step,
+        dst_reg)``, unapplied.
+
+        The change must leave that transfer direct (no pass-through on
+        *value*, *dst_reg* not holding it at the preceding step) and must
+        not move the preceding segment, whose primary register is the
+        direct source.  ``set_pt`` then swaps the direct connection for
+        the two through the FU, and loads the FU: a 0→1 load adds its
+        type's area, re-summed through :meth:`_area_of`.  The result
+        equals :meth:`total_cost` after the change and ``set_pt``, bit
+        for bit.
+        """
+        (d_reg, _mux, _wire, _depth), use_delta = terms
+        src_reg, fu_name, fu_port = impl
+        prev = self.placements[(value, self._pred_step[(value, dst_step)])]
+        reg_in_ep = self._reg_in_ep
+        delta = dict(use_delta)
+        for pair, change in (
+                ((self._reg_out_ep[prev[0]], reg_in_ep[dst_reg]), -1),
+                ((self._reg_out_ep[src_reg],
+                  self._fu_in_ep[(fu_name, fu_port)]), 1),
+                ((self._fu_out_ep[fu_name], reg_in_ep[dst_reg]), 1)):
+            delta[pair] = delta.get(pair, 0) + change
+        area = self._fu_used_area
+        if not self._fu_load.get(fu_name):
+            by_type = dict(self._fu_used_by_type)
+            tname = self.fus[fu_name].type_name
+            by_type[tname] = by_type.get(tname, 0) + 1
+            area = self._area_of(by_type)
+        ledger = self.ledger
+        d_mux, d_wire, d_depth = ledger.price(delta)
+        return weighted_total(self.weights, area,
+                              self._reg_used_count + d_reg,
                               ledger.mux_count + d_mux,
                               ledger.wire_count + d_wire,
                               ledger.mux_depth + d_depth)

@@ -39,7 +39,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 from repro.core.binding import Binding
 
@@ -199,26 +200,37 @@ def _direct_transfers(binding: Binding) -> List[Tuple[str, int, str, int]]:
 
 
 def _best_pt_choice(binding: Binding, rng: random.Random, value: str,
-                    dst_step: int, dst_reg: str,
-                    src_step: int) -> Optional[Tuple[str, str, int]]:
+                    dst_step: int, dst_reg: str, src_step: int,
+                    delta: Optional[Mapping[Tuple, int]] = None
+                    ) -> Optional[Tuple[str, str, int]]:
     """Pick the (src_reg, fu, port) pass-through that re-uses the most
     existing connections (the paper's Fig. 3 rationale: a pass-through wins
-    exactly when the register->FU and FU->register wires already exist)."""
+    exactly when the register->FU and FU->register wires already exist).
+
+    *delta* — a net ``{pair: Δuses}`` from
+    :meth:`~repro.core.binding.Binding.placement_terms` — makes the
+    choice on the connection uses the binding would have after that
+    unapplied change; the candidates and the tie-break draw are the same
+    as after applying it."""
     from repro.datapath.interconnect import fu_in, fu_out, reg_in, reg_out
 
     pt_fus = [n for n in binding.pt_capable_fus
               if binding.fu_free(n, src_step)]
     if not pt_fus:
         return None
-    ledger = binding.ledger
+    ledger_uses = binding.ledger.uses
+    if delta:
+        def uses(src, sink):
+            return ledger_uses(src, sink) + delta.get((src, sink), 0)
+    else:
+        uses = ledger_uses
     best: List[Tuple[str, str, int]] = []
     best_new = None
     for src_reg in binding.segment_regs(value, src_step):
         for fu_name in pt_fus:
             for port in (0, 1):
-                new = int(ledger.uses(reg_out(src_reg),
-                                      fu_in(fu_name, port)) == 0)
-                new += int(ledger.uses(fu_out(fu_name), reg_in(dst_reg)) == 0)
+                new = int(uses(reg_out(src_reg), fu_in(fu_name, port)) == 0)
+                new += int(uses(fu_out(fu_name), reg_in(dst_reg)) == 0)
                 if best_new is None or new < best_new:
                     best_new, best = new, [(src_reg, fu_name, port)]
                 elif new == best_new:

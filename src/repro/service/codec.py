@@ -29,6 +29,7 @@ finds a cached constructive binding to warm-start from.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional
 
@@ -145,6 +146,19 @@ def _graph_from_spec(data: Any) -> CDFG:
         "{'bench': <name>}")
 
 
+def _finite_number(name: str, value: Any) -> float:
+    """*value* if it is a finite int or float (not a bool).
+
+    A cost weight multiplies an integer count inside the search, so a
+    string would fail there with a TypeError and a NaN would make every
+    accept test false; both are rejected here, at decode time.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise RequestError(f"bad {name}: {value!r} is not a finite number")
+    return value
+
+
 def request_from_dict(data: Dict[str, Any]) -> AllocateRequest:
     """Decode an HTTP request body into an :class:`AllocateRequest`."""
     if not isinstance(data, dict):
@@ -179,6 +193,8 @@ def request_from_dict(data: Dict[str, Any]) -> AllocateRequest:
             weights = CostWeights(**weights_data)
         except TypeError as exc:
             raise RequestError(f"bad weights: {exc}") from None
+        for name, value in weights_data.items():
+            _finite_number(f"weights[{name!r}]", value)
 
     # whitelisted shorthand for weights.latency: steer the search toward
     # shallow mux trees without spelling out the whole weights vector
@@ -187,10 +203,8 @@ def request_from_dict(data: Dict[str, Any]) -> AllocateRequest:
             raise RequestError(
                 "give either 'latency_weight' or weights['latency'], "
                 "not both")
-        try:
-            weights = replace(weights, latency=float(data["latency_weight"]))
-        except (TypeError, ValueError) as exc:
-            raise RequestError(f"bad latency_weight: {exc}") from None
+        latency = _finite_number("latency_weight", data["latency_weight"])
+        weights = replace(weights, latency=float(latency))
 
     max_clock_ns = data.get("max_clock_ns")
     if max_clock_ns is not None:

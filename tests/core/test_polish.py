@@ -4,6 +4,7 @@ import functools
 import hashlib
 import json
 import os
+import random
 
 import pytest
 
@@ -15,13 +16,13 @@ from repro.sched.asap import asap_length
 from repro.sched.explore import schedule_graph
 from repro.core import polish
 from repro.core.initial import initial_allocation
-from repro.core.moves import MoveSet
+from repro.core.moves import MoveSet, _best_pt_choice
 from repro.core import polish as polish_mod
 from repro.core.improve import ImproveConfig, improve
 from repro.core.polish import (_exchange_pairs, _exchange_values,
-                               _exchanged_placements, _move_value,
-                               _try_exchange, _try_value_move,
-                               _value_move_targets,
+                               _exchanged_placements, _hop, _hop_targets,
+                               _move_value, _try_exchange, _try_hop,
+                               _try_value_move, _value_move_targets,
                                sweep_fu_moves, sweep_operand_swaps,
                                sweep_passthroughs, sweep_read_sources,
                                sweep_segment_hops, sweep_value_exchanges,
@@ -162,7 +163,7 @@ def test_polish_results_match_pinned_digests():
         assert polish_digest(build()) == pinned[name], name
 
 
-# ------------------------------------------- priced R3/R4 candidates
+# --------------------------------------- priced R3/R4/R2b candidates
 
 #: name -> builder(weights); the zoo families at a small size
 PRICED_CASES = {
@@ -183,14 +184,18 @@ def _observed(binding):
             list(binding.pt_impl.items()))
 
 
+def _has_pt(binding, value):
+    return any(key[0] == value for key in binding.pt_impl)
+
+
 def _check_candidates(ref, live, counts):
-    """Walk every R4 then R3 candidate on two identical bindings.
+    """Walk every R4, R3 then R2b candidate on two identical bindings.
 
     *ref* applies each candidate inside a journal bracket and keeps it
     only if it strictly improves, as polish did before pricing; *live*
     goes through the priced sweep step.  The price must equal the
-    mutated binding's ``total_cost()`` exactly, and both bindings must
-    agree after every candidate.
+    mutated binding's ``total_cost()`` exactly, and both bindings — and
+    both hop tie-break RNGs — must agree after every candidate.
     """
     def reference(apply, price, current):
         ref.begin_move()
@@ -227,6 +232,102 @@ def _check_candidates(ref, live, counts):
             counts["kept"] += 1
             current = kept
         assert _observed(live) == _observed(ref)
+    _check_hops(ref, live, counts, current)
+
+
+def _check_hops(ref, live, counts, current):
+    """The R2b part of :func:`_check_candidates`.
+
+    The reference is the hop as polish applied it before pricing: the
+    hop, then (when it creates a transfer) the best pass-through tried
+    on top and cleared again unless strictly cheaper, then the keep or
+    abort.  *live* must also open no journal bracket for a rejected hop
+    on a value without a pass-through.
+    """
+    ref_rng, live_rng = random.Random(0), random.Random(0)
+    brackets = []
+    begin = live.begin_move
+    live.begin_move = lambda: (brackets.append(1), begin())[1]
+    try:
+        for value, run, src_step, reg in _hop_targets(live):
+            dst_step = run[0]
+            terms = live.placement_terms(
+                {(value, s): (reg,) for s in run})
+            had_pt = _has_pt(live, value)
+            assert (terms is None) == had_pt
+            ref.begin_move()
+            _hop(ref, value, run, reg)
+            real = ref.total_cost()
+            if terms is None:
+                counts["unpriced"] += 1
+            else:
+                counts["priced"] += 1
+                assert live.price_of(terms[0]) == real
+            if reg not in ref.segment_regs(value, src_step):
+                impl = _best_pt_choice(ref, ref_rng, value, dst_step, reg,
+                                       src_step)
+                if impl is not None:
+                    ref.set_pt(value, dst_step, reg, impl)
+                    with_pt = ref.total_cost()
+                    if terms is not None:
+                        counts["pt_priced"] += 1
+                        assert live.price_passthrough(
+                            terms, value, dst_step, reg, impl) == with_pt
+                    if with_pt >= real - 1e-9:
+                        ref.set_pt(value, dst_step, reg, None)
+                        ref.flush()
+            if ref.total_cost() < current - 1e-9:
+                kept = ref.total_cost()
+                ref.commit_move()
+            else:
+                kept = None
+                ref.abort_move()
+            del brackets[:]
+            assert _try_hop(live, value, run, src_step, reg, current,
+                            live_rng) == kept
+            if kept is not None:
+                counts["kept"] += 1
+                current = kept
+            elif not had_pt:
+                assert not brackets, "a rejected priced hop opened a journal"
+                counts["hop_rejects"] += 1
+            assert _observed(live) == _observed(ref)
+            assert live_rng.getstate() == ref_rng.getstate()
+    finally:
+        del live.begin_move
+
+
+@pytest.mark.parametrize("weights", [CostWeights(), TIMING_WEIGHTS],
+                         ids=["default", "timing"])
+def test_passthrough_price_on_an_idle_fu_matches_applied(weights):
+    """Every pass-through for a hop's transfer, on a busy FU and on an
+    idle one (whose 0->1 load adds its type's area), is priced exactly."""
+    schedule = schedule_graph(elliptic_wave_filter(), SPEC, 19)
+    counts = dict(schedule.min_fus())
+    counts["adder"] += 1  # adder<n> stays idle: no op is bound to it
+    binding = initial_allocation(
+        schedule, SPEC.make_fus(counts),
+        make_registers(schedule.min_registers() + 1), weights=weights)
+    idle = [f for f in binding.pt_capable_fus if not binding._fu_load[f]]
+    assert idle
+    areas = set()
+    for value, run, src_step, reg in _hop_targets(binding):
+        if reg in binding.segment_regs(value, src_step):
+            continue
+        terms = binding.placement_terms({(value, s): (reg,) for s in run})
+        for fu in binding.pt_capable_fus:
+            if not binding.fu_free(fu, src_step):
+                continue
+            impl = (binding.segment_regs(value, src_step)[0], fu, 0)
+            price = binding.price_passthrough(terms, value, run[0], reg,
+                                              impl)
+            binding.begin_move()
+            _hop(binding, value, run, reg)
+            binding.set_pt(value, run[0], reg, impl)
+            assert price == binding.total_cost()
+            areas.add(binding.fu_used_area())
+            binding.abort_move()
+    assert len(areas) == 2  # both the busy and the idle case were priced
 
 
 @pytest.mark.parametrize("weights", [CostWeights(), TIMING_WEIGHTS],
@@ -235,7 +336,8 @@ def _check_candidates(ref, live, counts):
 def test_priced_candidates_match_applied_ones(case, weights):
     build = PRICED_CASES[case]
     ref, live = build(weights), build(weights)
-    counts = {"priced": 0, "unpriced": 0, "kept": 0}
+    counts = {"priced": 0, "unpriced": 0, "kept": 0, "pt_priced": 0,
+              "hop_rejects": 0}
     _check_candidates(ref, live, counts)
     # searched states hold split values; polished ones pass-throughs
     config = ImproveConfig(max_trials=2, moves_per_trial=150, seed=5,
@@ -246,6 +348,9 @@ def test_priced_candidates_match_applied_ones(case, weights):
         assert _observed(live) == _observed(ref)
         _check_candidates(ref, live, counts)
     assert counts["priced"] > 0
+    assert counts["hop_rejects"] > 0
+    if live.pt_capable_fus:
+        assert counts["pt_priced"] > 0
 
 
 if __name__ == "__main__":

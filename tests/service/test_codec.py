@@ -93,6 +93,30 @@ def test_bad_requests_are_rejected(body, phrase):
         request_from_dict(body)
 
 
+@pytest.mark.parametrize("value", ["x", "2.0", True, None, [1],
+                                   float("nan"), float("inf"),
+                                   float("-inf")],
+                         ids=repr)
+def test_non_finite_or_non_numeric_weights_rejected(value):
+    """Such a weight used to decode and get a request key, then fail
+    inside the search (a TypeError, or a NaN making every accept test
+    false)."""
+    with pytest.raises(RequestError, match="not a finite number"):
+        make_request(weights={"mux": value})
+    with pytest.raises(RequestError, match="latency_weight"):
+        make_request(latency_weight=value)
+
+
+def test_integer_weights_still_accepted_with_their_old_key():
+    request = make_request(weights={"mux": 2, "fu": 16.0},
+                           latency_weight=1)
+    assert request.weights.mux == 2
+    assert request.weights.latency == 1.0
+    # the key this body had before numeric validation was added
+    assert request_key(request) == \
+        "0a1be597b363964f32327bee42e860b6027d934b7acea276684e2dfb274c1074"
+
+
 def test_spec_strings_and_knob_dicts_accepted():
     request = request_from_dict({
         "cdfg": {"bench": "dct"}, "spec": "pipelined",

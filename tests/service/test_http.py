@@ -105,6 +105,14 @@ def test_bad_request_is_400(service_url):
     assert "unknown request fields" in str(excinfo.value)
 
 
+def test_non_numeric_weight_is_400(service_url):
+    client = ServiceClient(service_url)
+    with pytest.raises(ServiceError) as excinfo:
+        client.allocate({"cdfg": {"bench": "ewf"}, "weights": {"mux": "x"}})
+    assert excinfo.value.status == 400
+    assert "not a finite number" in str(excinfo.value)
+
+
 def test_unknown_job_is_404(service_url):
     with pytest.raises(ServiceError) as excinfo:
         ServiceClient(service_url).job("feedfacedeadbeef")

@@ -9,6 +9,7 @@ from repro.core.binding import Binding
 from repro.core.improve import ImproveConfig, improve
 from repro.core.initial import initial_allocation
 from repro.core.parallel import RestartJob, run_restart
+from repro.core.polish import _ReuseScope, polish
 from repro.datapath.units import make_registers
 from repro.sched.explore import schedule_graph
 from repro.verify.fuzz import BrokenRollbackMoveSet
@@ -186,3 +187,45 @@ class TestInjectedUndoBug:
         monkeypatch.setenv(SANITIZE_ENV, "1")
         with pytest.raises(SanitizerError):
             run_restart(job())
+
+
+class TestPolishPriceReuse:
+    """Polish reuses a candidate's price until the next kept candidate;
+    under the sanitizer every reuse is re-priced and compared."""
+
+    @staticmethod
+    def _ewf_binding():
+        from repro.bench import elliptic_wave_filter
+        from repro.datapath.units import HardwareSpec
+        spec = HardwareSpec.non_pipelined()
+        schedule = schedule_graph(elliptic_wave_filter(), spec, 19)
+        return initial_allocation(
+            schedule, spec.make_fus(schedule.min_fus()),
+            make_registers(schedule.min_registers() + 1))
+
+    @staticmethod
+    def _state(binding):
+        return (binding.total_cost(), list(binding.placements.items()),
+                list(binding.read_src.items()),
+                list(binding.pt_impl.items()), binding.clone_state())
+
+    def test_checked_reuse_is_read_only(self, monkeypatch):
+        results = []
+        for env in ("0", "1"):
+            monkeypatch.setenv(SANITIZE_ENV, env)
+            binding = self._ewf_binding()
+            polish(binding)
+            results.append(self._state(binding))
+        assert results[0] == results[1]
+
+    def test_stale_reuse_is_caught(self, monkeypatch):
+        """Injected bug: a kept candidate does not invalidate the stored
+        prices, so a later candidate reuses a stale one."""
+        monkeypatch.setattr(_ReuseScope, "kept", lambda self: None)
+        monkeypatch.setenv(SANITIZE_ENV, "1")
+        with pytest.raises(SanitizerError) as info:
+            polish(self._ewf_binding())
+        err = info.value
+        assert "reused polish price" in str(err)
+        assert err.move_name in ("R2b", "R3", "R4")
+        assert err.reproducer["state"] is not None
