@@ -10,10 +10,11 @@ module is that seam:
   run (e.g. the traditional warm-start pass followed by the full extended
   search), each carrying its own pre-derived child seed;
 * :func:`run_restart` executes one job — rebuild the deterministic initial
-  allocation, run the configured improvement passes, and return only the
-  compact :class:`RestartOutcome` (decision-state snapshot, cost,
-  telemetry) so no live :class:`~repro.core.binding.Binding` ever crosses a
-  process boundary;
+  allocation, run the configured search passes (iterative improvement, or
+  the Sec. 4 annealing ablation), and return only the compact
+  :class:`RestartOutcome` (decision-state snapshot, cost, telemetry) so no
+  live :class:`~repro.core.binding.Binding` ever crosses a process
+  boundary;
 * :func:`run_restarts` fans jobs out over a
   :class:`concurrent.futures.ProcessPoolExecutor` (fork start method),
   falling back to a deterministic in-process loop for ``workers=1``, for
@@ -32,27 +33,28 @@ import multiprocessing
 import os
 import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, \
-    Tuple
+    Tuple, Union
 
 from repro.errors import AllocationError
 from repro.datapath.cost import CostBreakdown, CostWeights
 from repro.datapath.units import FU, Register
 from repro.sched.schedule import Schedule
+from repro.core.anneal import AnnealConfig, anneal
 from repro.core.binding import Binding
 from repro.core.improve import ImproveConfig, ImproveStats, improve
 from repro.core.initial import initial_allocation
-from repro.verify.sanitizer import sanitize_enabled
 
 logger = logging.getLogger(__name__)
 
 
 class StopSignal:
-    """A picklable cooperative stop condition for cross-process workers.
+    """A picklable cooperative stop condition, usable in any worker.
 
     A live ``should_stop`` closure cannot cross a process boundary (it
-    must observe its caller's state), so process workers get this instead:
+    must observe its caller's state); this one can, so the service uses
+    it for thread and process workers alike:
 
     * ``deadline`` — an absolute :func:`time.monotonic` instant.  With the
       fork start method on Linux ``CLOCK_MONOTONIC`` is system-wide, so a
@@ -120,9 +122,10 @@ class RestartJob:
     schedule: Schedule
     fus: Tuple[FU, ...]
     regs: Tuple[Register, ...]
-    #: improvement passes run back-to-back on the same binding, in order;
-    #: each config carries its own independent child seed
-    configs: Tuple[ImproveConfig, ...]
+    #: search passes run back-to-back on the same binding, in order; each
+    #: config carries its own independent child seed and picks its engine
+    #: by type (:func:`improve` or, for an ``AnnealConfig``, :func:`anneal`)
+    configs: Tuple[Union[ImproveConfig, AnnealConfig], ...]
     weights: CostWeights = CostWeights()
     allow_split: bool = True
     #: optional decision-state snapshot (``Binding.clone_state`` /
@@ -166,17 +169,13 @@ def run_restart(job: RestartJob) -> RestartOutcome:
         tick = time.perf_counter_ns()
         binding.restore_state(job.warm_state)
         warm_restore_ns = time.perf_counter_ns() - tick
-    configs = job.configs
-    if sanitize_enabled():
-        # REPRO_SANITIZE=1 reaches workers through the environment even
-        # when the job's configs were prepared before it was set
-        configs = tuple(replace(config, sanitize=True)
-                        for config in configs)
-    stats = [improve(binding, config) for config in configs]
-    if warm_restore_ns and stats and configs[0].profile_every:
+    stats = [anneal(binding, config) if isinstance(config, AnnealConfig)
+             else improve(binding, config) for config in job.configs]
+    if warm_restore_ns and stats and \
+            getattr(job.configs[0], "profile_every", 0):
         # the warm-start restore happens outside improve()'s own sampling
         # window; fold it into the first pass so phase reports see every
-        # restore the restart performed
+        # restore the restart performed (anneal() samples no phases)
         stats[0].add_phase("restore", warm_restore_ns)
     return RestartOutcome(index=job.index, state=binding.clone_state(),
                           cost=binding.cost(), stats=stats,

@@ -208,10 +208,7 @@ def request_from_dict(data: Dict[str, Any]) -> AllocateRequest:
 
     max_clock_ns = data.get("max_clock_ns")
     if max_clock_ns is not None:
-        try:
-            max_clock_ns = float(max_clock_ns)
-        except (TypeError, ValueError) as exc:
-            raise RequestError(f"bad max_clock_ns: {exc}") from None
+        max_clock_ns = float(_finite_number("max_clock_ns", max_clock_ns))
 
     fu_counts = data.get("fu_counts")
     if fu_counts is not None:

@@ -1,17 +1,19 @@
 """Async job orchestration over the allocation engines.
 
 A :class:`JobManager` owns a bounded FIFO queue, a small pool of
-orchestrator *threads*, and — in ``worker_mode="process"`` — a shared
-:class:`~concurrent.futures.ProcessPoolExecutor` the orchestrators fan
-restart jobs out to.  Process mode is the default for the served stack
-(one CPU-bound search no longer starves the node: the GIL is released
-while an orchestrator waits on its futures), while thread mode remains
-for embedding and for platforms without the fork start method.
+orchestrator *threads*, and one shared restart executor the orchestrators
+fan restart jobs out to.  The worker mode only picks that executor: a
+fork-based :class:`~concurrent.futures.ProcessPoolExecutor` in
+``worker_mode="process"`` (the default for the served stack: one
+CPU-bound search no longer starves the node), or an in-process
+:class:`~concurrent.futures.ThreadPoolExecutor` in ``"thread"`` mode (for
+embedding and for platforms without the fork start method).
 
-Each job runs the restart loop of one
+Each job runs the restarts of one
 :class:`~repro.service.codec.AllocateRequest` through
-:func:`repro.core.parallel.run_restart` (or the annealing twin
-:func:`run_anneal_restart`) and ends in exactly one of:
+:func:`repro.core.parallel.run_restart` — iterative improvement, or one
+annealing pass per restart for ``engine="anneal"`` — and ends in exactly
+one of:
 
 * **done** — full-fidelity result, written through to the exact-key cache;
 * **done, degraded** — the deadline fired mid-search: the response is the
@@ -23,13 +25,13 @@ Each job runs the restart loop of one
 * **failed** — a fatal error, or a retryable one that survived
   ``max_attempts`` fresh-seed retries.
 
-Cross-process cancellation/deadlines ride a picklable
-:class:`~repro.core.parallel.StopSignal` instead of a live closure: the
-deadline is an absolute monotonic instant (system-wide under fork), and
-cancellation is a per-job sentinel *flag file* the manager touches — the
-worker's cooperative ``should_stop`` check stats it every few dozen
-moves.  All duration/latency figures (queue age, run seconds) are
-computed from ``time.monotonic()`` stamps; the wall-clock
+Cancellation and deadlines reach a running restart through a picklable
+:class:`~repro.core.parallel.StopSignal` in both modes: the deadline is
+an absolute monotonic instant (system-wide under fork), and cancellation
+is a per-job sentinel *flag file* the manager touches — the search's
+cooperative ``should_stop`` check stats it every few dozen moves.  All
+duration/latency figures (queue age, run seconds) are computed from
+``time.monotonic()`` stamps; the wall-clock
 ``submitted_at``/``started_at``/``finished_at`` fields exist only for
 display and are never subtracted from one another.
 
@@ -39,7 +41,7 @@ cancel stops the underlying search.
 
 Same-shape requests adjacent in the queue are claimed as one batch by a
 single orchestrator: they share a memoized schedule resolution and their
-restarts enter the process pool as one dispatch wave.
+restarts enter the executor as one dispatch wave.
 
 Retry policy rides on :mod:`repro.verify.classify`: a
 :class:`~repro.verify.sanitizer.SanitizerError` or worker-pool breakage
@@ -57,24 +59,24 @@ content depends on what happened to be in the warm store.
 
 from __future__ import annotations
 
+import json
 import os
 import shutil
 import tempfile
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor, \
-    wait as wait_futures
+from concurrent.futures import BrokenExecutor, Executor, Future, \
+    ProcessPoolExecutor, ThreadPoolExecutor, wait as wait_futures
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.errors import ReproError
 from repro.alloc.checker import assert_legal
 from repro.core.arraystate import PAYLOAD_FORMAT, CompactState
 from repro.core.allocator import SalsaAllocator, TraditionalAllocator
-from repro.core.anneal import AnnealConfig, anneal
+from repro.core.anneal import AnnealConfig
 from repro.core.improve import ImproveConfig, ImproveStats
-from repro.core.initial import initial_allocation
 from repro.core.moves import MoveSet
 from repro.core.parallel import (RestartJob, RestartOutcome, StopSignal,
                                  _fork_context, best_outcome,
@@ -83,7 +85,7 @@ from repro.rng import SeedStream
 from repro.sched.schedule import Schedule
 from repro.io.json_io import binding_to_dict, canonical_dumps
 from repro.verify.classify import is_retryable
-from repro.verify.sanitizer import decode_state, encode_state
+from repro.verify.sanitizer import encode_state
 from repro.analysis.stats import telemetry_report
 from repro.service.cache import TieredCache
 from repro.service.codec import (AllocateRequest, job_id_for, request_key,
@@ -201,41 +203,15 @@ class Job:
         }
 
 
-def run_anneal_restart(job: RestartJob, overrides: Mapping[str, Any],
-                       model: str) -> RestartOutcome:
-    """Annealing twin of :func:`repro.core.parallel.run_restart`.
-
-    Module-level and built only from picklable pieces, so process-mode
-    managers can ship it to pool workers; the cooperative stop condition
-    rides in ``job.configs[-1].should_stop`` (a live closure in thread
-    mode, a :class:`~repro.core.parallel.StopSignal` across processes).
-    """
-    started = time.perf_counter()
-    move_set = MoveSet.traditional() if model == "traditional" else MoveSet()
-    binding = initial_allocation(
-        job.schedule, list(job.fus), list(job.regs),
-        weights=job.weights, allow_split=job.allow_split)
-    if job.warm_state is not None:
-        binding.restore_state(job.warm_state)
-    config = AnnealConfig(move_set=move_set,
-                          seed=job.configs[-1].seed,
-                          should_stop=job.configs[-1].should_stop,
-                          **overrides)
-    stats = anneal(binding, config)
-    return RestartOutcome(index=job.index, state=binding.clone_state(),
-                          cost=binding.cost(), stats=[stats],
-                          seconds=time.perf_counter() - started)
-
-
 class JobManager:
     """Bounded-queue executor for allocation requests.
 
-    ``worker_mode="thread"`` runs searches on the orchestrator threads
-    themselves (the pre-existing embedded behaviour);
-    ``worker_mode="process"`` turns the orchestrators into dispatchers
-    that fan every restart out to a shared fork-based process pool, with
-    deadlines and cancellation crossing the boundary as a
-    :class:`~repro.core.parallel.StopSignal`.
+    The orchestrator threads are dispatchers: each submits a job's
+    restarts to one shared executor and collects the futures, cancelling
+    pending ones on cancel or deadline.  ``worker_mode`` only chooses that
+    executor (see :meth:`_new_pool`); deadlines and cancellation reach the
+    running restarts as a :class:`~repro.core.parallel.StopSignal` either
+    way.
     """
 
     def __init__(self, cache: Optional[TieredCache] = None,
@@ -262,16 +238,12 @@ class JobManager:
         self._shutdown = False
         self._schedule_memo: "OrderedDict[str, Schedule]" = OrderedDict()
 
-        self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_lock = threading.Lock()
-        self._signal_dir: Optional[str] = None
-        if self.worker_mode == PROCESS_MODE:
-            self._signal_dir = tempfile.mkdtemp(prefix="repro-service-stop-")
-            # create the pool *before* the orchestrator threads exist: the
-            # fork happens while this process is still single-threaded,
-            # which sidesteps forking-with-held-locks hazards
-            self._pool = ProcessPoolExecutor(max_workers=self.workers,
-                                             mp_context=_fork_context())
+        self._signal_dir = tempfile.mkdtemp(prefix="repro-service-stop-")
+        # create the pool *before* the orchestrator threads exist: a
+        # process pool forks while this process is still single-threaded,
+        # which sidesteps forking-with-held-locks hazards
+        self._pool: Optional[Executor] = self._new_pool()
 
         m = self.metrics
         self._submitted = m.counter("jobs_submitted", "requests accepted")
@@ -397,7 +369,7 @@ class JobManager:
                 self._finish(job, CANCELLED)
                 return job
         job.cancel_event.set()
-        # wake any process workers promptly; the orchestrator re-touches
+        # wake running restarts promptly; the orchestrator re-touches
         # the flag in its wait loop, so this is belt-and-braces
         self._signal_stop(job)
         return job
@@ -417,44 +389,42 @@ class JobManager:
             pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=wait)
-        if self._signal_dir is not None:
-            shutil.rmtree(self._signal_dir, ignore_errors=True)
+        shutil.rmtree(self._signal_dir, ignore_errors=True)
 
-    # --------------------------------------------------- process-mode seams
+    # ------------------------------------------------------ restart dispatch
 
-    def _flag_path(self, job: Job) -> Optional[str]:
-        if self._signal_dir is None:
-            return None
+    def _flag_path(self, job: Job) -> str:
         return os.path.join(self._signal_dir, f"{job.id}.stop")
 
     def _signal_stop(self, job: Job) -> None:
-        """Touch the job's stop flag so pool workers see the cancel."""
-        path = self._flag_path(job)
-        if path is None:
-            return
+        """Touch the job's stop flag so running restarts see the cancel."""
         try:
-            with open(path, "wb"):
+            with open(self._flag_path(job), "wb"):
                 pass
         except OSError:
             pass  # the parent-side checks still stop the orchestrator
 
     def _clear_stop(self, job: Job) -> None:
-        path = self._flag_path(job)
-        if path is None:
-            return
         try:
-            os.unlink(path)
+            os.unlink(self._flag_path(job))
         except OSError:
             pass
 
-    def _ensure_pool(self) -> ProcessPoolExecutor:
+    def _new_pool(self) -> Executor:
+        """The restart executor: the only place the worker mode matters."""
+        if self.worker_mode == PROCESS_MODE:
+            return ProcessPoolExecutor(max_workers=self.workers,
+                                       mp_context=_fork_context())
+        return ThreadPoolExecutor(max_workers=self.workers,
+                                  thread_name_prefix="repro-service-restart")
+
+    def _ensure_pool(self) -> Executor:
         with self._pool_lock:
             if self._pool is None:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.workers, mp_context=_fork_context())
+                self._pool = self._new_pool()
             return self._pool
 
-    def _discard_pool(self, pool: ProcessPoolExecutor) -> None:
+    def _discard_pool(self, pool: Executor) -> None:
         """Drop a broken pool so the next attempt gets a fresh one."""
         with self._pool_lock:
             if self._pool is pool:
@@ -495,27 +465,17 @@ class JobManager:
         return [future.result() for future in futures
                 if not future.cancelled()]
 
-    def _dispatch_restarts(self, job: Job, restart_jobs: List[RestartJob],
-                           should_stop: Callable[[], bool],
-                           fn: Callable[..., RestartOutcome],
-                           extra: Tuple[Any, ...] = ()) \
+    def _dispatch_restarts(self, job: Job, restart_jobs: List[RestartJob]) \
             -> List[RestartOutcome]:
-        """Run restarts in-thread, or as one process-pool dispatch wave."""
-        if self.worker_mode == PROCESS_MODE:
-            pool = self._ensure_pool()
-            try:
-                futures = [pool.submit(fn, rjob, *extra)
-                           for rjob in restart_jobs]
-                return self._collect_outcomes(job, futures)
-            except BrokenExecutor:
-                self._discard_pool(pool)
-                raise
-        outcomes = []
-        for rjob in restart_jobs:
-            outcomes.append(fn(rjob, *extra))
-            if should_stop():
-                break  # remaining restarts are skipped: degraded
-        return outcomes
+        """Submit a job's restarts to the pool as one dispatch wave."""
+        pool = self._ensure_pool()
+        try:
+            futures = [pool.submit(run_restart, rjob)
+                       for rjob in restart_jobs]
+            return self._collect_outcomes(job, futures)
+        except BrokenExecutor:
+            self._discard_pool(pool)
+            raise
 
     # ------------------------------------------------------------- internals
 
@@ -550,7 +510,7 @@ class JobManager:
         """Pop the head job plus queued same-shape followers (lock held).
 
         Batch members share one schedule resolution and their restarts
-        reach the process pool as a single dispatch wave, which is how
+        reach the executor as a single dispatch wave, which is how
         bursts of same-shape requests (a design-space sweep, a retry
         storm) avoid re-resolving the problem N times.
         """
@@ -593,13 +553,9 @@ class JobManager:
         job.deadline_mono = None
         if request.deadline_ms is not None:
             job.deadline_mono = started + request.deadline_ms / 1000.0
-        deadline = job.deadline_mono
-
-        def should_stop() -> bool:
-            if job.cancel_event.is_set():
-                return True
-            return deadline is not None and time.monotonic() >= deadline
-
+        # flags are named by job id, so a cancel that raced an earlier
+        # job with this id to its finish may have left one behind
+        self._clear_stop(job)
         last_error: Optional[BaseException] = None
         for attempt in range(self.max_attempts):
             if job.cancel_event.is_set():
@@ -607,7 +563,7 @@ class JobManager:
                 return
             job.attempts = attempt + 1
             try:
-                result = self._run_search(job, attempt, should_stop)
+                result = self._run_search(job, attempt)
                 break
             except (KeyboardInterrupt, SystemExit):
                 raise
@@ -619,7 +575,8 @@ class JobManager:
                     self._job_seconds.observe(time.monotonic() - started)
                     return
                 last_error = exc
-                out_of_time = should_stop()
+                out_of_time = job.deadline_mono is not None and \
+                    time.monotonic() >= job.deadline_mono
                 if (is_retryable(exc) and attempt + 1 < self.max_attempts
                         and not out_of_time):
                     self._retried.inc()
@@ -648,12 +605,11 @@ class JobManager:
             if not result["degraded"] and not result["warm_started"]:
                 self.cache.put(job.key,
                                canonical_dumps(result).encode("utf-8"))
-            # the warm store holds the compact array payload: decoding it
-            # rebuilds flat integer columns, never per-op/per-segment
-            # Python object graphs
-            warm_blob = job.warm_payload or canonical_dumps(
-                result["best_state"]).encode("utf-8")
-            self.cache.put("warm_" + job.shape_key, warm_blob)
+            # the warm store holds the compact array payload _run_search
+            # left on the job: decoding it rebuilds flat integer columns,
+            # never per-op/per-segment Python object graphs
+            assert job.warm_payload is not None
+            self.cache.put("warm_" + job.shape_key, job.warm_payload)
         self._finish(job, DONE)
         self._job_seconds.observe(time.monotonic() - started)
 
@@ -676,16 +632,32 @@ class JobManager:
         payload = self.cache.get("warm_" + job.shape_key)
         if payload is None:
             return None
-        import json as _json
         try:
-            data = _json.loads(payload.decode("utf-8"))
+            data = json.loads(payload.decode("utf-8"))
             if isinstance(data, dict) and \
                     data.get("format") == PAYLOAD_FORMAT:
                 return CompactState.from_payload(data)
-            # legacy name-keyed snapshot left by an older server build
-            return decode_state(data)
         except (ValueError, KeyError, TypeError):
-            return None  # torn/old snapshot: fall back to a cold start
+            pass
+        return None  # torn or foreign snapshot: fall back to a cold start
+
+    def _search_configs(self, request: AllocateRequest, rjob: RestartJob,
+                        stop: StopSignal) \
+            -> Tuple[Union[ImproveConfig, AnnealConfig], ...]:
+        """The passes one restart runs, all stopping on *stop*.
+
+        An anneal request runs a single annealing pass seeded with the
+        restart's last improvement seed, over the move set of its model.
+        """
+        if request.engine == "anneal":
+            move_set = MoveSet.traditional() \
+                if request.model == "traditional" else MoveSet()
+            return (AnnealConfig(move_set=move_set,
+                                 seed=rjob.configs[-1].seed,
+                                 should_stop=stop, **request.anneal),)
+        return tuple(replace(config, should_stop=stop,
+                             profile_every=self.profile_every)
+                     for config in rjob.configs)
 
     def _memo_schedule(self, shape_key: str) -> Optional[Schedule]:
         with self._lock:
@@ -703,22 +675,7 @@ class JobManager:
             while len(self._schedule_memo) > SCHEDULE_MEMO_SIZE:
                 self._schedule_memo.popitem(last=False)
 
-    def _stop_condition(self, job: Job,
-                        should_stop: Callable[[], bool]) \
-            -> Callable[[], bool]:
-        """The per-move stop check shipped into the search configs.
-
-        Thread mode uses the live closure; process mode needs a picklable
-        condition, so workers get a :class:`StopSignal` carrying the
-        absolute monotonic deadline plus the job's cancel flag file.
-        """
-        if self.worker_mode != PROCESS_MODE:
-            return should_stop
-        return StopSignal(deadline=job.deadline_mono,
-                          flag_path=self._flag_path(job))
-
-    def _run_search(self, job: Job, attempt: int,
-                    should_stop) -> Dict[str, Any]:
+    def _run_search(self, job: Job, attempt: int) -> Dict[str, Any]:
         request = job.request
         allocator = self._allocator(request, attempt)
         schedule, restart_jobs = allocator.prepare_jobs(
@@ -731,23 +688,13 @@ class JobManager:
         if warm_state is not None:
             self._warm.inc()
 
-        stop_condition = self._stop_condition(job, should_stop)
+        # one signal per restart: thread workers then share no stop state
         restart_jobs = [
-            replace(rjob,
-                    warm_state=warm_state,
-                    configs=tuple(
-                        replace(config, should_stop=stop_condition,
-                                profile_every=self.profile_every)
-                        for config in rjob.configs))
+            replace(rjob, warm_state=warm_state,
+                    configs=self._search_configs(request, rjob, StopSignal(
+                        job.deadline_mono, self._flag_path(job))))
             for rjob in restart_jobs]
-
-        if request.engine == "anneal":
-            outcomes = self._dispatch_restarts(
-                job, restart_jobs, should_stop, run_anneal_restart,
-                extra=(dict(request.anneal), request.model))
-        else:
-            outcomes = self._dispatch_restarts(
-                job, restart_jobs, should_stop, run_restart)
+        outcomes = self._dispatch_restarts(job, restart_jobs)
 
         best = best_outcome(outcomes)
         binding = rebuild_binding(restart_jobs[best.index], best)

@@ -16,7 +16,7 @@ from repro.sched.explore import schedule_graph
 from repro.core import (ImproveConfig, RestartOutcome, SalsaAllocator,
                         TraditionalAllocator, best_outcome, run_restarts)
 from repro.core.moves import MoveSet
-from repro.core.parallel import _fork_context
+from repro.core.parallel import _fork_context, run_restart
 from repro.datapath.cost import CostBreakdown
 
 SPEC = HardwareSpec.non_pipelined()
@@ -57,6 +57,43 @@ class TestEngine:
         assert all(o.seconds > 0 for o in result.outcomes)
         assert result.seconds == pytest.approx(
             sum(o.seconds for o in result.outcomes))
+
+    def test_anneal_config_runs_through_anneal(self, ewf19):
+        from dataclasses import replace
+        from repro.core.anneal import AnnealConfig, anneal
+        from repro.core.initial import initial_allocation
+        config = AnnealConfig(temperature_levels=3, moves_per_level=60,
+                              seed=4)
+        alloc = SalsaAllocator(seed=3, restarts=1, config=FAST)
+        _schedule, jobs = alloc.prepare_jobs(ewf19.graph, schedule=ewf19)
+        job = replace(jobs[0], configs=(config,))
+        outcome = run_restart(job)
+        binding = initial_allocation(ewf19, list(job.fus), list(job.regs),
+                                     weights=job.weights,
+                                     allow_split=job.allow_split)
+        stats = anneal(binding, config)
+        assert outcome.state == binding.clone_state()
+        assert outcome.cost == binding.cost()
+        assert outcome.stats[0].moves_attempted == stats.moves_attempted \
+            == 180
+
+    def test_sanitize_env_set_after_prepare_still_checks(self, ewf19,
+                                                         monkeypatch):
+        """REPRO_SANITIZE=1 set after the jobs were prepared still arms the
+        sanitizer inside run_restart (it is read at call time)."""
+        from repro.verify.fuzz import BrokenRollbackMoveSet
+        from repro.verify.sanitizer import SANITIZE_ENV, SanitizerError
+        monkeypatch.delenv(SANITIZE_ENV, raising=False)
+        config = ImproveConfig(max_trials=3, moves_per_trial=400,
+                               uphill_per_trial=0, sanitize_every=1,
+                               move_set=BrokenRollbackMoveSet())
+        alloc = SalsaAllocator(seed=3, restarts=1, config=config,
+                               warm_start_traditional=False)
+        _schedule, jobs = alloc.prepare_jobs(ewf19.graph, schedule=ewf19)
+        assert not any(c.sanitize for c in jobs[0].configs)
+        monkeypatch.setenv(SANITIZE_ENV, "1")
+        with pytest.raises(SanitizerError):
+            run_restart(jobs[0])
 
 
 class TestSeedDerivation:

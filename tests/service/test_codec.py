@@ -195,6 +195,17 @@ class TestTimingKnobs:
         with pytest.raises(RequestError, match="positive"):
             make_request(max_clock_ns=-1.0)
 
+    @pytest.mark.parametrize("value", ["nan", float("inf"), True, "2.5"],
+                             ids=repr)
+    def test_max_clock_must_be_a_finite_number(self, value):
+        # these used to decode to nan, inf, 1.0 and 2.5
+        with pytest.raises(RequestError, match="not a finite number"):
+            make_request(max_clock_ns=value)
+
+    def test_integer_max_clock_keeps_its_key(self):
+        assert request_key(make_request(max_clock_ns=3)) == \
+            request_key(make_request(max_clock_ns=3.0))
+
     def test_payload_omits_absent_constraint(self):
         payload = cache_key_payload(make_request())
         assert "max_clock_ns" not in payload

@@ -113,6 +113,14 @@ def test_non_numeric_weight_is_400(service_url):
     assert "not a finite number" in str(excinfo.value)
 
 
+def test_non_finite_max_clock_is_400(service_url):
+    client = ServiceClient(service_url)
+    with pytest.raises(ServiceError) as excinfo:
+        client.allocate({"cdfg": {"bench": "ewf"}, "max_clock_ns": "nan"})
+    assert excinfo.value.status == 400
+    assert "max_clock_ns" in str(excinfo.value)
+
+
 def test_unknown_job_is_404(service_url):
     with pytest.raises(ServiceError) as excinfo:
         ServiceClient(service_url).job("feedfacedeadbeef")

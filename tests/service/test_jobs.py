@@ -78,9 +78,9 @@ def test_inflight_duplicates_coalesce_to_one_job(manager_setup):
     block = threading.Event()
     real = manager._run_search
 
-    def slow(job, attempt, should_stop):
+    def slow(job, attempt):
         block.wait(30)
-        return real(job, attempt, should_stop)
+        return real(job, attempt)
 
     manager._run_search = slow
     first, _ = manager.submit(fast_request())
@@ -154,12 +154,7 @@ def test_warm_snapshot_is_compact_and_column_backed(manager_setup,
         warm_states.append(rjob.warm_state)
         return real_run(rjob)
 
-    def legacy_decode_forbidden(_data):
-        raise AssertionError(
-            "warm snapshot went through the legacy decode_state path")
-
     monkeypatch.setattr(jobs_mod, "run_restart", spying_run)
-    monkeypatch.setattr(jobs_mod, "decode_state", legacy_decode_forbidden)
     warm_job, _ = manager.submit(fast_request(seed=6, warm_start=True))
     assert warm_job.wait(120)
     assert warm_job.status == DONE
@@ -168,16 +163,37 @@ def test_warm_snapshot_is_compact_and_column_backed(manager_setup,
     assert all(isinstance(state, CompactState) for state in warm_states)
 
 
+def test_name_keyed_warm_snapshot_is_a_cold_start(manager_setup):
+    """Only the compact array payload warms a search; a name-keyed
+    (``encode_state``) snapshot in the warm store is ignored."""
+    from repro.io.json_io import canonical_dumps
+    from repro.verify.sanitizer import encode_state
+
+    manager, cache, metrics = manager_setup
+    job, _ = manager.submit(fast_request(seed=5))
+    assert job.wait(120)
+    assert job.status == DONE
+    binding = binding_from_json(json.dumps(job.result["binding"]))
+    legacy = canonical_dumps(encode_state(binding.clone_state()))
+    cache.put("warm_" + job.shape_key, legacy.encode("utf-8"))
+
+    warm_job, _ = manager.submit(fast_request(seed=6, warm_start=True))
+    assert warm_job.wait(120)
+    assert warm_job.status == DONE
+    assert warm_job.result["warm_started"] is False
+    assert metrics.counter("jobs_warm_started").value == 0
+
+
 def test_retryable_failure_gets_a_fresh_seed(manager_setup):
     manager, _, metrics = manager_setup
     real = manager._run_search
     calls = []
 
-    def flaky(job, attempt, should_stop):
+    def flaky(job, attempt):
         calls.append(attempt)
         if len(calls) == 1:
             raise SanitizerError("injected shadow-state divergence")
-        return real(job, attempt, should_stop)
+        return real(job, attempt)
 
     manager._run_search = flaky
     job, _ = manager.submit(fast_request())
@@ -191,7 +207,7 @@ def test_retryable_failure_gets_a_fresh_seed(manager_setup):
 def test_fatal_error_fails_without_retry(manager_setup):
     manager, _, metrics = manager_setup
 
-    def broken(job, attempt, should_stop):
+    def broken(job, attempt):
         raise ReproError("deterministic modeling error")
 
     manager._run_search = broken
@@ -207,7 +223,7 @@ def test_fatal_error_fails_without_retry(manager_setup):
 def test_retry_budget_exhausts_to_failed():
     manager, _, metrics = make_manager(max_attempts=2)
     try:
-        def always_flaky(job, attempt, should_stop):
+        def always_flaky(job, attempt):
             raise SanitizerError("never converges")
 
         manager._run_search = always_flaky
@@ -226,9 +242,9 @@ def test_queue_full_rejects_with_backpressure():
         block = threading.Event()
         real = manager._run_search
 
-        def slow(job, attempt, should_stop):
+        def slow(job, attempt):
             block.wait(30)
-            return real(job, attempt, should_stop)
+            return real(job, attempt)
 
         manager._run_search = slow
         running, _ = manager.submit(fast_request(seed=1))
@@ -249,9 +265,9 @@ def test_cancel_queued_job():
         block = threading.Event()
         real = manager._run_search
 
-        def slow(job, attempt, should_stop):
+        def slow(job, attempt):
             block.wait(30)
-            return real(job, attempt, should_stop)
+            return real(job, attempt)
 
         manager._run_search = slow
         running, _ = manager.submit(fast_request(seed=1))
@@ -325,9 +341,9 @@ def test_wall_clock_step_does_not_corrupt_live_durations(manager_setup,
                         lambda: real_time() + skew["offset"])
     real = manager._run_search
 
-    def stepping(job, attempt, should_stop):
+    def stepping(job, attempt):
         skew["offset"] = -3600.0  # the NTP step lands mid-search
-        return real(job, attempt, should_stop)
+        return real(job, attempt)
 
     manager._run_search = stepping
     job, _ = manager.submit(fast_request())
@@ -354,9 +370,9 @@ def test_coalesced_cancel_only_last_waiter_stops_the_job():
         block = threading.Event()
         real = manager._run_search
 
-        def slow(job, attempt, should_stop):
+        def slow(job, attempt):
             block.wait(30)
-            return real(job, attempt, should_stop)
+            return real(job, attempt)
 
         manager._run_search = slow
         first, _ = manager.submit(fast_request())
@@ -386,10 +402,10 @@ def test_coalesced_cancel_last_waiter_cancels_for_real():
         running = threading.Event()
         real = manager._run_search
 
-        def slow(job, attempt, should_stop):
+        def slow(job, attempt):
             running.set()
             block.wait(30)
-            return real(job, attempt, should_stop)
+            return real(job, attempt)
 
         manager._run_search = slow
         job, _ = manager.submit(fast_request(
@@ -422,10 +438,10 @@ def test_cancel_while_queued_sets_cancel_event():
         running = threading.Event()
         real = manager._run_search
 
-        def slow(job, attempt, should_stop):
+        def slow(job, attempt):
             running.set()
             block.wait(30)
-            return real(job, attempt, should_stop)
+            return real(job, attempt)
 
         manager._run_search = slow
         blocker, _ = manager.submit(fast_request(seed=1))
@@ -454,10 +470,10 @@ def test_same_shape_queued_jobs_claim_as_one_batch():
         block = threading.Event()
         real = manager._run_search
 
-        def slow(job, attempt, should_stop):
+        def slow(job, attempt):
             if not block.is_set():
                 block.wait(30)
-            return real(job, attempt, should_stop)
+            return real(job, attempt)
 
         manager._run_search = slow
         blocker, _ = manager.submit(fast_request(seed=1, length=21))

@@ -4,6 +4,7 @@ deadlines, and the shared disk tier observed from two manager instances.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pickle
 import time
@@ -11,7 +12,7 @@ import time
 import pytest
 
 from repro.alloc.checker import check_binding
-from repro.io.json_io import binding_from_json
+from repro.io.json_io import binding_from_json, canonical_dumps
 from repro.core.parallel import (StopSignal, _fork_context,
                                  is_process_safe_callback)
 from repro.service.cache import DiskCache, MemoryLRUCache, TieredCache
@@ -188,3 +189,54 @@ def test_shared_disk_tier_across_two_managers(tmp_path):
         assert metrics.counter("jobs_submitted").value == 0  # no search ran
     finally:
         second.shutdown()
+
+
+# --------------------------------------------- engine × mode equivalence
+
+#: sha256 of the mode-independent part of each result (see
+#: ``_result_digest``) for the seeded requests built by ``engine_request``
+ENGINE_MODE_DIGESTS = {
+    ("improve", "salsa"):
+        "7193933dba5d49c5d16c84ad2b3d122f2c93e57d76ccd052cda9d77616f549d5",
+    ("improve", "traditional"):
+        "bc28b54b4b3d0e8c54e46200e5803797812f013372a56695cc35c2f37e6169f8",
+    ("anneal", "salsa"):
+        "d21143575d4e3a235f2bd44e40b4022529eda7fbb8f3bf6ea1f021bd09b01788",
+    ("anneal", "traditional"):
+        "72fc7686df51634b7d2d6529971c96a6a6a6c968413d90ea4524e5cf9e144c91",
+}
+
+
+def engine_request(engine, model):
+    return fast_request(engine=engine, model=model, seed=11, restarts=2,
+                        anneal={"temperature_levels": 3,
+                                "moves_per_level": 60})
+
+
+def _result_digest(result):
+    """sha256 of a result minus its wall-time and sampled-phase fields."""
+    trimmed = {k: v for k, v in result.items() if k != "search_seconds"}
+    trimmed["telemetry"] = {
+        k: v for k, v in result["telemetry"].items()
+        if k != "seconds" and not k.startswith("phase_")}
+    return hashlib.sha256(canonical_dumps(trimmed).encode("utf-8")) \
+        .hexdigest()
+
+
+@needs_fork
+@pytest.mark.parametrize("engine,model", sorted(ENGINE_MODE_DIGESTS))
+def test_thread_and_process_mode_give_the_same_result(engine, model):
+    digests = {}
+    for mode in (THREAD_MODE, PROCESS_MODE):
+        manager = JobManager(cache=None, workers=2, worker_mode=mode)
+        try:
+            assert manager.worker_mode == mode
+            job, _ = manager.submit(engine_request(engine, model))
+            assert job.wait(180)
+            assert job.status == DONE
+            assert job.result["engine"] == engine
+            digests[mode] = _result_digest(job.result)
+        finally:
+            manager.shutdown()
+    assert digests[THREAD_MODE] == digests[PROCESS_MODE]
+    assert digests[PROCESS_MODE] == ENGINE_MODE_DIGESTS[(engine, model)]
