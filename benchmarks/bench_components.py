@@ -9,6 +9,7 @@ spends its time).
 import random
 
 from repro.bench import discrete_cosine_transform, elliptic_wave_filter
+from repro.bench.zoo import default_suite
 from repro.datapath.interconnect import ConnectionLedger, fu_in, reg_out
 from repro.datapath.simulate import verify_binding
 from repro.datapath.units import HardwareSpec, make_registers
@@ -89,6 +90,20 @@ def test_list_scheduler_ewf(benchmark):
                                              {"adder": 2, "mult": 2},
                                              target_length=19).length,
                        rounds=10, iterations=1)
+
+
+def test_schedule_graph_zoo_asap(benchmark):
+    """The service's default scheduling path (``length`` and ``fu_counts``
+    None) on each zoo family: the minimum-FU search at the critical path,
+    where most count vectors fail and stop at their first late op."""
+    problems = [(scenario.build(), scenario.spec())
+                for scenario in default_suite(0)]
+
+    def schedule_all():
+        return [schedule_graph(graph, spec).length
+                for graph, spec in problems]
+
+    benchmark.pedantic(schedule_all, rounds=5, iterations=1)
 
 
 def test_initial_allocation_ewf(benchmark):

@@ -20,7 +20,8 @@ def asap_schedule(graph: CDFG, spec: HardwareSpec) -> Dict[str, int]:
     """Earliest feasible start step for every operation (unlimited FUs)."""
     delays = spec.delays()
     start: Dict[str, int] = {}
-    for op_name in graph.topo_order():
+    order = graph.topo_order()
+    for op_name in order:
         earliest = 0
         for pred in data_predecessors(graph, op_name):
             earliest = max(earliest,
@@ -37,7 +38,7 @@ def asap_schedule(graph: CDFG, spec: HardwareSpec) -> Dict[str, int]:
             raise ScheduleError(
                 f"ASAP: anti-dependence constraints do not converge on "
                 f"{graph.name!r}")
-        for op_name in graph.topo_order():
+        for op_name in order:
             lo = start[op_name]
             for anti in anti_predecessors(graph, op_name):
                 lo = max(lo, start[anti])

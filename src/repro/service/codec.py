@@ -159,6 +159,19 @@ def _finite_number(name: str, value: Any) -> float:
     return value
 
 
+def _positive_int(name: str, value: Any) -> int:
+    """*value* if it is an int >= 1 (not a bool).
+
+    A length or a unit/register count is used as a count by scheduling
+    and allocation, so a string or a float would fail there with a
+    TypeError, and ``int()`` would quietly turn ``true`` into 1 and
+    ``2.7`` into 2.
+    """
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise RequestError(f"bad {name}: {value!r} is not an integer >= 1")
+    return value
+
+
 def request_from_dict(data: Dict[str, Any]) -> AllocateRequest:
     """Decode an HTTP request body into an :class:`AllocateRequest`."""
     if not isinstance(data, dict):
@@ -210,17 +223,25 @@ def request_from_dict(data: Dict[str, Any]) -> AllocateRequest:
     if max_clock_ns is not None:
         max_clock_ns = float(_finite_number("max_clock_ns", max_clock_ns))
 
+    length, registers = data.get("length"), data.get("registers")
+    if length is not None:
+        length = _positive_int("length", length)
+    if registers is not None:
+        registers = _positive_int("registers", registers)
     fu_counts = data.get("fu_counts")
     if fu_counts is not None:
-        fu_counts = {str(k): int(v) for k, v in fu_counts.items()}
+        if not isinstance(fu_counts, dict):
+            raise RequestError("request 'fu_counts' must be an object")
+        fu_counts = {str(k): _positive_int(f"fu_counts[{k!r}]", v)
+                     for k, v in fu_counts.items()}
     try:
         return AllocateRequest(
             graph=graph, spec=spec,
             model=data.get("model", "salsa"),
             engine=data.get("engine", "improve"),
-            length=data.get("length"),
+            length=length,
             fu_counts=fu_counts,
-            registers=data.get("registers"),
+            registers=registers,
             weights=weights,
             seed=int(data.get("seed", 0)),
             restarts=int(data.get("restarts", 1)),

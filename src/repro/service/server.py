@@ -182,6 +182,11 @@ class _Handler(BaseHTTPRequestHandler):
             data = json.loads(self.rfile.read(length).decode("utf-8"))
         except (ValueError, UnicodeDecodeError) as exc:
             raise RequestError(f"body is not valid JSON: {exc}") from None
+        except RecursionError:
+            # the decoder's nesting guard: a body can be small and still
+            # nest deeper than the interpreter allows
+            raise RequestError("body is not valid JSON: nested too deeply") \
+                from None
         if not isinstance(data, dict):
             raise RequestError("request body must be a JSON object")
         return data

@@ -212,3 +212,40 @@ class TestTimingKnobs:
         assert "latency" not in payload["weights"]
         clocked = cache_key_payload(make_request(max_clock_ns=3.0))
         assert clocked["max_clock_ns"] == 3.0
+
+
+class TestSchedulingFields:
+    """``length``, ``registers`` and ``fu_counts`` must be integers >= 1."""
+
+    @pytest.mark.parametrize("value", ["17", 17.5, 17.0, True, 0, -3],
+                             ids=repr)
+    def test_bad_length_rejected(self, value):
+        # "17" and 17.5 used to decode and then fail with a TypeError
+        # inside scheduling; True decoded to a length of 1
+        with pytest.raises(RequestError, match="bad length"):
+            make_request(length=value)
+
+    @pytest.mark.parametrize("value", [True, "12", 12.0, 0], ids=repr)
+    def test_bad_registers_rejected(self, value):
+        with pytest.raises(RequestError, match="bad registers"):
+            make_request(registers=value)
+
+    @pytest.mark.parametrize("value", [2.7, True, "2", 0], ids=repr)
+    def test_bad_fu_count_rejected(self, value):
+        # int() used to turn 2.7 into 2 and true into 1
+        with pytest.raises(RequestError, match="bad fu_counts"):
+            make_request(fu_counts={"adder": 3, "mult": value})
+
+    def test_fu_counts_must_be_an_object(self):
+        with pytest.raises(RequestError, match="fu_counts"):
+            make_request(fu_counts=[3, 3])
+
+    def test_integer_fields_keep_their_values_and_key(self):
+        request = make_request(registers=12, fu_counts={"mult": 3,
+                                                        "adder": 2})
+        assert request.length == 17
+        assert request.registers == 12
+        assert request.fu_counts == {"mult": 3, "adder": 2}
+        payload = cache_key_payload(request)
+        assert payload["length"] == 17 and payload["registers"] == 12
+        assert payload["fu_counts"] == {"adder": 2, "mult": 3}

@@ -121,6 +121,39 @@ def test_non_finite_max_clock_is_400(service_url):
     assert "max_clock_ns" in str(excinfo.value)
 
 
+def test_non_integer_length_is_400(service_url):
+    client = ServiceClient(service_url)
+    with pytest.raises(ServiceError) as excinfo:
+        client.allocate({"cdfg": {"bench": "ewf"}, "length": "17"})
+    assert excinfo.value.status == 400
+    assert "not an integer >= 1" in str(excinfo.value)
+
+
+def test_deeply_nested_body_is_400(service_url):
+    """Regression: a body nesting deeper than the JSON decoder's recursion
+    guard raised RecursionError, which only the last-resort handler
+    caught, so a ~200 KB body got a 500."""
+    from urllib.parse import urlparse
+
+    from repro.service.server import MAX_BODY_BYTES
+
+    body = ("[" * 100000 + "]" * 100000).encode("ascii")
+    assert len(body) < MAX_BODY_BYTES
+    parsed = urlparse(service_url)
+    conn = http.client.HTTPConnection(parsed.hostname, parsed.port,
+                                      timeout=30)
+    try:
+        conn.request("POST", "/allocate", body=body,
+                     headers={"Content-Type": "application/json"})
+        reply = conn.getresponse()
+        payload = json.loads(reply.read())
+    finally:
+        conn.close()
+    assert reply.status == 400
+    assert "nested too deeply" in payload["error"]
+    assert ServiceClient(service_url).healthz()["status"] == "ok"
+
+
 def test_unknown_job_is_404(service_url):
     with pytest.raises(ServiceError) as excinfo:
         ServiceClient(service_url).job("feedfacedeadbeef")
