@@ -10,14 +10,14 @@ on Bipartite Weighted Matching" (paper reference [13]), one of the exact
 traditional-model approaches the introduction contrasts against.
 
 Uses :func:`scipy.optimize.linear_sum_assignment` for the matching.
+numpy and scipy are imported on the first call, not with this module:
+nothing else in the package needs them, and loading them costs most of
+``import repro``'s time and memory.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from repro.errors import AllocationError
 from repro.datapath.units import FU
@@ -32,6 +32,9 @@ def bipartite_fu_binding(schedule: Schedule, fus: Sequence[FU],
     :func:`repro.alloc.leftedge.left_edge`); the matching cost counts new
     (register, FU input port) pairs.
     """
+    import numpy as np
+    from scipy.optimize import linear_sum_assignment
+
     graph = schedule.graph
     by_type: Dict[str, List[FU]] = {}
     for fu in fus:

@@ -173,7 +173,15 @@ class _Handler(BaseHTTPRequestHandler):
         self.flush_headers()
 
     def _read_body(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length", "0"))
+        raw_length = self.headers.get("Content-Length", "0")
+        try:
+            length = int(raw_length)
+        except ValueError:
+            # the unread body's extent is unknown, so this connection
+            # cannot carry another request
+            self.close_connection = True
+            raise RequestError(
+                f"Content-Length {raw_length!r} is not an integer") from None
         if length <= 0:
             raise RequestError("empty request body")
         if length > MAX_BODY_BYTES:

@@ -154,6 +154,29 @@ def test_deeply_nested_body_is_400(service_url):
     assert ServiceClient(service_url).healthz()["status"] == "ok"
 
 
+@pytest.mark.parametrize("length", ["abc", "1.5"])
+def test_non_integer_content_length_is_400(service_url, length):
+    """Regression: the Content-Length header was parsed outside the
+    body's error handling, so a non-integer value got a 500."""
+    from urllib.parse import urlparse
+
+    parsed = urlparse(service_url)
+    conn = http.client.HTTPConnection(parsed.hostname, parsed.port,
+                                      timeout=30)
+    try:
+        conn.putrequest("POST", "/allocate")
+        conn.putheader("Content-Type", "application/json")
+        conn.putheader("Content-Length", length)
+        conn.endheaders(json.dumps(FAST_BODY).encode("utf-8"))
+        reply = conn.getresponse()
+        payload = json.loads(reply.read())
+    finally:
+        conn.close()
+    assert reply.status == 400
+    assert "Content-Length" in payload["error"]
+    assert ServiceClient(service_url).healthz()["status"] == "ok"
+
+
 def test_unknown_job_is_404(service_url):
     with pytest.raises(ServiceError) as excinfo:
         ServiceClient(service_url).job("feedfacedeadbeef")
