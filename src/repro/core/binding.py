@@ -34,7 +34,6 @@ register.
 
 from __future__ import annotations
 
-from array import array
 from collections import Counter
 from typing import (Dict, Iterable, List, Mapping, Optional, Sequence, Set,
                     Tuple)
@@ -42,8 +41,7 @@ from typing import (Dict, Iterable, List, Mapping, Optional, Sequence, Set,
 from repro.errors import BindingError
 from repro.cdfg.graph import CDFG
 from repro.cdfg.lifetimes import LiveInterval
-from repro.core.arraystate import CompactState, DerivedSnapshot
-from repro.core.interning import BindingTables
+from repro.core.snapshot import BindingState, DerivedSnapshot
 from repro.datapath.cost import CostBreakdown, CostWeights, weighted_total
 from repro.datapath.interconnect import (ConnectionLedger, fu_in, fu_out,
                                          in_port, out_port, reg_in, reg_out)
@@ -126,10 +124,7 @@ class Binding:
         #: every site :meth:`flush` has changed since the journal started
         self._journal: Optional[Dict[SiteKey, List[Tuple]]] = None
         #: write log of raw/occupancy mutations since :meth:`begin_move` —
-        #: ``(container, key, old_value_or_ABSENT)`` in write order, where
-        #: the container is a decision/occupancy dict or a flat array
-        #: column (arrays replay through the same ``container[key] = old``
-        #: branch; their old value is never ``_ABSENT``)
+        #: ``(dict, key, old_value_or_ABSENT)`` in write order
         self._raw_journal: Optional[List[Tuple]] = None
         self._counter_snap: Tuple[int, int, float] = (0, 0, 0.0)
 
@@ -228,35 +223,17 @@ class Binding:
         # reusable journal containers (avoid two allocations per move)
         self._journal_store: Dict[SiteKey, List[Tuple]] = {}
         self._raw_store: List[Tuple] = []
-
-        # dense-id tables + flat integer columns: the array mirror of the
-        # decision dicts (repro.core.interning / repro.core.arraystate).
-        # Every primitive writes dict and column together — through the
-        # same write journal, so abort_move replays both — and the columns
-        # are what clone_state()/restore_state() snapshot and diff.
-        self._tables = BindingTables(
-            ops=self.ops_sorted,
-            fus=tuple(fus_sorted),
-            regs=self.regs_sorted,
-            segs=sorted(self._live_pairs),
-            reads=sorted({(op_name, port)
-                          for val in self.graph.values.values()
-                          for op_name, port in val.consumers}),
-            outs=sorted(v for v, val in self.graph.values.items()
-                        if val.is_output))
-        tables = self._tables
-        self._op_fu_col = array("i", [-1]) * len(tables.op_names)
-        self._op_swap_col = array("b", bytes(len(tables.op_names)))
-        self._read_col = array("i", [-1]) * len(tables.read_keys)
-        self._out_col = array("i", [-1]) * len(tables.out_values)
-        self._seg_col = array("i", bytes(4 * len(tables.seg_keys)))
-        #: dict-position tick per segment: ascending ticks over the placed
-        #: segments reproduce the placements dict's iteration order, which
-        #: is the one dict order the search trajectory observes
-        self._seg_seq = array("q", bytes(8 * len(tables.seg_keys)))
-        #: next position tick; monotone for the binding's life (abort_move
-        #: restores seq cells but never rewinds the counter — monotonicity
-        #: is the only property the order reconstruction needs)
+        #: names this binding as the owner of the snapshots it clones
+        self._token = object()
+        #: insertion tick of each segment key, stamped when an empty
+        #: segment is filled; ascending ticks give the order a snapshot
+        #: lists ``placements`` in.  That is the dict order except for the
+        #: keys a rejected move emptied and refilled: abort_move puts
+        #: those at the end of the dict but restores their tick
+        #: (DESIGN.md §3.3)
+        self._seg_seq: Dict[Tuple[str, int], int] = {}
+        #: next tick; monotone for the binding's life (abort_move never
+        #: rewinds it — only the order of the ticks matters)
         self._seg_tick = 1
 
     # ------------------------------------------------------------------ helpers
@@ -463,19 +440,16 @@ class Binding:
             self.op_fu[op_name] = fu_name
         else:
             self.op_fu.pop(op_name, None)
-        tables = self._tables
-        op_fu_col = self._op_fu_col
-        op_idx = tables.op_ids[op_name]
-        if journal is not None:
-            journal.append((op_fu_col, op_idx, op_fu_col[op_idx]))
-        op_fu_col[op_idx] = \
-            -1 if fu_name is None else tables.fu_ids[fu_name]
         self._mark(("read", op_name))
         if op.result is not None:
             self._mark(("write", op.result))
 
     def set_op_swap(self, op_name: str, flag: bool) -> None:
-        """Set operand-reversal for a commutative binary operation."""
+        """Set operand-reversal for a commutative binary operation.
+
+        ``op_swap`` holds reversed operations only: clearing the flag
+        removes the key.
+        """
         op = self.graph.ops[op_name]
         old = self.op_swap.get(op_name, False)
         if flag == old:
@@ -484,15 +458,12 @@ class Binding:
             raise BindingError(
                 f"operand reverse illegal on {op_name!r} ({op.kind})")
         journal = self._raw_journal
-        swap_col = self._op_swap_col
-        op_idx = self._tables.op_ids[op_name]
         if journal is not None:
-            journal.append(
-                (self.op_swap, op_name,
-                 self.op_swap.get(op_name, _ABSENT)))
-            journal.append((swap_col, op_idx, swap_col[op_idx]))
-        self.op_swap[op_name] = flag
-        swap_col[op_idx] = 1 if flag else 0
+            journal.append((self.op_swap, op_name, True if old else _ABSENT))
+        if flag:
+            self.op_swap[op_name] = True
+        else:
+            del self.op_swap[op_name]
         self._mark(("read", op_name))
 
     def set_placements(self, value: str, step: int,
@@ -553,18 +524,13 @@ class Binding:
             self.placements[(value, step)] = new
         else:
             self.placements.pop((value, step), None)
-        tables = self._tables
-        seg_idx = tables.seg_ids[(value, step)]
-        seg_col = self._seg_col
-        if append is not None:
-            append((seg_col, seg_idx, seg_col[seg_idx]))
-        seg_col[seg_idx] = tables.pool.intern(new)
         if not old:
-            # fresh dict insert (at the end): stamp its position tick
+            # fresh dict insert (at the end): stamp its tick
             seg_seq = self._seg_seq
             if append is not None:
-                append((seg_seq, seg_idx, seg_seq[seg_idx]))
-            seg_seq[seg_idx] = self._seg_tick
+                append((seg_seq, (value, step),
+                        seg_seq.get((value, step), _ABSENT)))
+            seg_seq[(value, step)] = self._seg_tick
             self._seg_tick += 1
         self._xfer_cache = None
         self._mark_segment_sites(value, step)
@@ -577,19 +543,14 @@ class Binding:
             return
         if reg is not None and reg not in self.regs:
             raise BindingError(f"unknown register {reg!r}")
-        tables = self._tables
-        read_idx = tables.read_ids.get((op_name, port))
-        if read_idx is None:
+        if port not in self._read_ports.get(op_name, ()):
             raise BindingError(
                 f"({op_name!r}, {port}) is not a consumer read site")
         journal = self._raw_journal
-        read_col = self._read_col
         if journal is not None:
             journal.append(
                 (self.read_src, (op_name, port),
                  _ABSENT if old is None else old))
-            journal.append((read_col, read_idx, read_col[read_idx]))
-        read_col[read_idx] = -1 if reg is None else tables.reg_ids[reg]
         if reg is None:
             self.read_src.pop((op_name, port), None)
         else:
@@ -603,17 +564,12 @@ class Binding:
             return
         if reg is not None and reg not in self.regs:
             raise BindingError(f"unknown register {reg!r}")
-        tables = self._tables
-        out_idx = tables.out_ids.get(value)
-        if out_idx is None:
+        if value not in self._out_port_ep:
             raise BindingError(f"{value!r} is not an output value")
         journal = self._raw_journal
-        out_col = self._out_col
         if journal is not None:
             journal.append(
                 (self.out_src, value, _ABSENT if old is None else old))
-            journal.append((out_col, out_idx, out_col[out_idx]))
-        out_col[out_idx] = -1 if reg is None else tables.reg_ids[reg]
         if reg is None:
             self.out_src.pop(value, None)
         else:
@@ -1127,14 +1083,11 @@ class Binding:
         RNG (DESIGN.md §3.3).  A caller that priced such a move with
         :meth:`price_placements` instead of applying and aborting it calls
         this, outside any journal bracket, to leave the same state.  As
-        after the abort, the contents, the columns and ``seg_seq`` stay
-        as they are, and one position tick is spent per key (the abort
-        restores the tick each refill stamped, but never the counter).
+        after the abort, the contents and the ticks stay as they are.
         """
         placements = self.placements
         for key in keys:
             placements[key] = placements.pop(key)
-            self._seg_tick += 1
 
     def cost(self) -> CostBreakdown:
         """Evaluate the current allocation cost (requires a flushed state)."""
@@ -1212,14 +1165,13 @@ class Binding:
         twin.restore_state(self.clone_state())
         return twin
 
-    def clone_state(self) -> CompactState:
-        """Compact snapshot of the decision state (for best-so-far).
+    def clone_state(self) -> BindingState:
+        """Snapshot of the decision state (for best-so-far).
 
-        Column slices plus shallow copies of the derived state — no
-        per-key dict copying.  The result is a read-only
-        :class:`~repro.core.arraystate.CompactState`; it also behaves as
-        the legacy ``{"op_fu": {...}, ...}`` mapping for name-keyed
-        consumers (codecs, cross-binding restores).
+        Copies of the six decision dicts — ``placements`` in tick order,
+        ``pt_impl`` sorted, the rest in live order — plus shallow copies
+        of the derived state and this binding's token, so
+        :meth:`restore_state` can bulk-copy instead of re-derive.
         """
         if self._dirty:
             self.flush()
@@ -1234,150 +1186,81 @@ class Binding:
             site_events=dict(self._site_events),
             ledger=self.ledger.snapshot(),
         )
-        return CompactState(
-            tables=self._tables,
-            op_fu=self._op_fu_col[:],
-            op_swap=self._op_swap_col[:],
-            read_src=self._read_col[:],
-            out_src=self._out_col[:],
-            seg=self._seg_col[:],
-            seg_seq=self._seg_seq[:],
-            pt=tuple(sorted(self.pt_impl.items())),
-            derived=derived,
-        )
+        placements = self.placements
+        order = sorted(placements, key=self._seg_seq.__getitem__)
+        return BindingState({
+            "op_fu": dict(self.op_fu),
+            "op_swap": dict(self.op_swap),
+            "placements": dict(zip(order, map(placements.__getitem__, order))),
+            "read_src": dict(self.read_src),
+            "out_src": dict(self.out_src),
+            "pt_impl": dict(sorted(self.pt_impl.items())),
+        }, derived, self._token)
 
     def restore_state(self, state: Mapping) -> None:
         """Restore a snapshot taken with :meth:`clone_state`.
 
-        A :class:`~repro.core.arraystate.CompactState` made by **this**
-        binding takes the fast path (:meth:`_restore_fast`): column diffs
-        applied to the decision dicts plus a bulk copy of the clone-time
-        derived state — no site is re-derived.  Anything else — a legacy
-        name-keyed dict, or a compact snapshot from another binding (the
-        sanitizer's shadow rebuild, ``duplicate``, a deserialized warm
-        start) — goes through :meth:`_restore_mapping`, which mutates via
-        the primitives and re-derives the dirty sites, keeping the
-        shadow-rebuild oracle independent of this binding's derived state.
-        Both paths yield bit-identical dict iteration orders and search
-        trajectories.
+        A :class:`~repro.core.snapshot.BindingState` cloned by **this**
+        binding, restored outside a journal bracket, takes the fast path
+        (:meth:`_restore_fast`): dict diffs plus a bulk copy of the
+        clone-time derived state — no site is re-derived.  Anything else
+        — a plain name-keyed dict, or a snapshot from another binding or
+        through pickle (the sanitizer's shadow rebuild, ``duplicate``, a
+        decoded warm start) — goes through :meth:`_restore_mapping`, which
+        mutates via the primitives and re-derives the dirty sites, keeping
+        the shadow-rebuild oracle independent of this binding's derived
+        state.  Both paths leave the same ``placements`` order and ticks
+        (DESIGN.md §3.3), and so the same search trajectories.
         """
-        if isinstance(state, CompactState):
-            if (state.tables is self._tables and state.derived is not None
-                    and self._raw_journal is None):
-                self._restore_fast(state)
-            else:
-                self._restore_mapping(state.to_mapping())
-            return
-        self._restore_mapping(state)
+        if (isinstance(state, BindingState) and state.owner is self._token
+                and self._raw_journal is None):
+            self._restore_fast(state)
+        else:
+            self._restore_mapping(state)
 
-    def _restore_fast(self, state: CompactState) -> None:
-        """Same-binding diff-replay restore from the array columns.
+    def _restore_fast(self, state: BindingState) -> None:
+        """Same-binding diff-replay restore.
 
-        For each column, a C-speed array compare decides whether anything
-        changed; only differing indices touch the name-keyed dicts.
-        Removed placements are popped first, then the snapshot's differing
-        segments are re-inserted in ascending clone-time ``seg_seq`` with
-        fresh ticks — reproducing exactly the dict order the primitive
-        path would produce ([unchanged keys in live order] + [restored
-        keys in snapshot order]).  Derived state is then bulk-copied from
-        the clone-time :class:`DerivedSnapshot` instead of re-derived.
+        Each decision dict is compared with its snapshot copy, and only a
+        differing one is touched.  In ``placements`` every differing key
+        is popped and the snapshot's are re-inserted in snapshot (tick)
+        order with fresh ticks — the order and ticks the primitives path
+        leaves (unchanged keys in live order, then the restored keys).
+        The other dicts are patched in place (:func:`_replay`), and the
+        pass-through table is replaced by the snapshot's sorted copy.
+        Derived state is then bulk-copied from the clone-time
+        :class:`DerivedSnapshot` instead of re-derived.
         """
         if self._dirty:
             self.flush()
-        tables = self._tables
         changed = False
+        for live, section in ((self.op_fu, "op_fu"),
+                              (self.op_swap, "op_swap"),
+                              (self.read_src, "read_src"),
+                              (self.out_src, "out_src")):
+            changed = _replay(live, state[section]) or changed
         xfer_dirty = False
-
-        seg_col = self._seg_col
-        snap_seg = state.seg
-        if seg_col != snap_seg:
-            changed = True
+        placements = self.placements
+        snap = state["placements"]
+        if placements != snap:
             xfer_dirty = True
-            placements = self.placements
-            seg_keys = tables.seg_keys
-            pool_tuples = tables.pool.tuples
-            snap_seq = state.seg_seq
-            diff = [i for i, (live, want)
-                    in enumerate(zip(seg_col, snap_seg)) if live != want]
-            for i in diff:
-                if seg_col[i]:
-                    del placements[seg_keys[i]]
+            for key in [key for key, regs in placements.items()
+                        if snap.get(key) != regs]:
+                del placements[key]
             seg_seq = self._seg_seq
             tick = self._seg_tick
-            for _pos, i in sorted((snap_seq[i], i) for i in diff
-                                  if snap_seg[i]):
-                placements[seg_keys[i]] = pool_tuples[snap_seg[i]]
-                seg_seq[i] = tick
-                tick += 1
+            for key, regs in snap.items():
+                if key not in placements:
+                    placements[key] = regs
+                    seg_seq[key] = tick
+                    tick += 1
             self._seg_tick = tick
-            seg_col[:] = snap_seg
-
-        col = self._op_fu_col
-        snap = state.op_fu
-        if col != snap:
-            changed = True
-            op_names = tables.op_names
-            fu_names = tables.fu_names
-            op_fu = self.op_fu
-            for i, (live, want) in enumerate(zip(col, snap)):
-                if live != want:
-                    if want < 0:
-                        op_fu.pop(op_names[i], None)
-                    else:
-                        op_fu[op_names[i]] = fu_names[want]
-            col[:] = snap
-
-        col = self._op_swap_col
-        snap = state.op_swap
-        if col != snap:
-            changed = True
-            op_names = tables.op_names
-            op_swap = self.op_swap
-            for i, (live, want) in enumerate(zip(col, snap)):
-                if live != want:
-                    if want:
-                        op_swap[op_names[i]] = True
-                    else:
-                        op_swap.pop(op_names[i], None)
-            col[:] = snap
-
-        col = self._read_col
-        snap = state.read_src
-        if col != snap:
-            changed = True
-            read_keys = tables.read_keys
-            reg_names = tables.reg_names
-            read_src = self.read_src
-            for i, (live, want) in enumerate(zip(col, snap)):
-                if live != want:
-                    if want < 0:
-                        read_src.pop(read_keys[i], None)
-                    else:
-                        read_src[read_keys[i]] = reg_names[want]
-            col[:] = snap
-
-        col = self._out_col
-        snap = state.out_src
-        if col != snap:
-            changed = True
-            out_values = tables.out_values
-            reg_names = tables.reg_names
-            out_src = self.out_src
-            for i, (live, want) in enumerate(zip(col, snap)):
-                if live != want:
-                    if want < 0:
-                        out_src.pop(out_values[i], None)
-                    else:
-                        out_src[out_values[i]] = reg_names[want]
-            col[:] = snap
-
-        if tuple(sorted(self.pt_impl.items())) != state.pt:
-            changed = True
+        pt_impl = state["pt_impl"]
+        if self.pt_impl != pt_impl:
             xfer_dirty = True
             self.pt_impl.clear()
-            self.pt_impl.update(state.pt)
-
-        if not changed:
+            self.pt_impl.update(pt_impl)
+        if not (changed or xfer_dirty):
             return
 
         derived = state.derived
@@ -1401,7 +1284,7 @@ class Binding:
             self._xfer_cache = None
 
     def _restore_mapping(self, state: Mapping) -> None:
-        """Restore a legacy name-keyed snapshot through the primitives.
+        """Restore a name-keyed snapshot through the primitives.
 
         Diff-based: only keys whose value differs between the live state
         and the snapshot are touched, so restoring a near-identical state
@@ -1466,3 +1349,20 @@ class Binding:
             if self.pt_impl.get(key) != tuple(impl):
                 self.set_pt(key[0], key[1], key[2], tuple(impl))
         self.flush()
+
+
+def _replay(live: Dict, snap: Mapping) -> bool:
+    """Make the decision dict *live* equal *snap*; True if it changed.
+
+    Live keys the snapshot lacks are popped, and the snapshot's differing
+    keys are written in snapshot order: a key still present keeps its
+    live position, a missing one goes to the end.
+    """
+    if live == snap:
+        return False
+    for key in [key for key in live if key not in snap]:
+        del live[key]
+    for key, value in snap.items():
+        if live.get(key, _ABSENT) != value:
+            live[key] = value
+    return True

@@ -24,11 +24,11 @@ and pass-through implementations invalidated by placement changes
 
 Moves mutate the binding **only through its primitives** (``set_op_fu``,
 ``set_placements``, ``set_read_src``, ``set_pt``, …).  That is a hard
-rule, not a style preference: each primitive mirrors its dict write into
-the interned array columns and appends the old value to the open write
-journal, which is what makes ``Binding.abort_move()`` (journal replay)
-and the diff-replay ``restore_state()`` sound.  A move that poked a dict
-or a column directly would bypass both, and the next rollback or restore
+rule, not a style preference: each primitive appends the old value to
+the open write journal and marks the connection sites it touches dirty,
+which is what makes ``Binding.abort_move()`` (journal replay) and the
+derived state that ``restore_state()`` bulk-copies sound.  A move that
+poked a dict directly would bypass both, and the next rollback or restore
 would silently corrupt the search (see DESIGN.md §3.3; the shadow-state
 sanitizer exists to catch exactly this).  The journal is the only way an
 applied move is reverted: engines bracket each move with

@@ -128,13 +128,13 @@ class RestartJob:
     configs: Tuple[Union[ImproveConfig, AnnealConfig], ...]
     weights: CostWeights = CostWeights()
     allow_split: bool = True
-    #: optional decision-state snapshot (``Binding.clone_state`` /
-    #: :class:`~repro.core.arraystate.CompactState`) restored on top of the
-    #: constructive initial allocation before the first improvement pass —
-    #: the warm-start seam used by ``repro.service`` to reuse a cached
-    #: allocation of the same problem shape.  Compact states pickle as flat
-    #: integer columns, so shipping one to a worker never deep-copies
-    #: per-op objects.
+    #: optional decision-state snapshot (``Binding.clone_state`` or a
+    #: decoded ``encode_state`` dict) restored on top of the constructive
+    #: initial allocation before the first improvement pass — the
+    #: warm-start seam used by ``repro.service`` to reuse a cached
+    #: allocation of the same problem shape.  A
+    #: :class:`~repro.core.snapshot.BindingState` pickles as its six
+    #: decision dicts, without its derived state.
     warm_state: Optional[Mapping[str, object]] = None
 
 

@@ -223,9 +223,22 @@ def request_from_dict(data: Dict[str, Any]) -> AllocateRequest:
     if max_clock_ns is not None:
         max_clock_ns = float(_finite_number("max_clock_ns", max_clock_ns))
 
+    # The scheduler sizes its busy columns by the length and make_fus
+    # builds one object per counted unit, so both are capped here, before
+    # either runs.  A fully serial schedule (one op at a time, each
+    # starting when the one before it ends) meets every dependence, so no
+    # target length beyond the sum of the op delays is ever needed.  At
+    # one step a busy unit carries an op or a pass-through of a value, so
+    # no type can put more than ops + values units to use.
     length, registers = data.get("length"), data.get("registers")
     if length is not None:
         length = _positive_int("length", length)
+        delays = spec.delays()
+        serial = sum(delays.get(op.kind, 1) for op in graph.ops.values())
+        if length > serial:
+            raise RequestError(
+                f"bad length: {length} is over {serial}, the length of a "
+                f"fully serial schedule")
     if registers is not None:
         registers = _positive_int("registers", registers)
     fu_counts = data.get("fu_counts")
@@ -234,6 +247,12 @@ def request_from_dict(data: Dict[str, Any]) -> AllocateRequest:
             raise RequestError("request 'fu_counts' must be an object")
         fu_counts = {str(k): _positive_int(f"fu_counts[{k!r}]", v)
                      for k, v in fu_counts.items()}
+        most = len(graph.ops) + len(graph.values)
+        for name, count in fu_counts.items():
+            if count > most:
+                raise RequestError(
+                    f"bad fu_counts[{name!r}]: {count} is over {most}, "
+                    f"the ops plus values of the graph")
     try:
         return AllocateRequest(
             graph=graph, spec=spec,

@@ -73,7 +73,6 @@ from typing import Any, Dict, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.errors import ReproError
 from repro.alloc.checker import assert_legal
-from repro.core.arraystate import PAYLOAD_FORMAT, CompactState
 from repro.core.allocator import SalsaAllocator, TraditionalAllocator
 from repro.core.anneal import AnnealConfig
 from repro.core.improve import ImproveConfig, ImproveStats
@@ -85,7 +84,7 @@ from repro.rng import SeedStream
 from repro.sched.schedule import Schedule
 from repro.io.json_io import binding_to_dict, canonical_dumps
 from repro.verify.classify import is_retryable
-from repro.verify.sanitizer import encode_state
+from repro.verify.sanitizer import decode_state, encode_state
 from repro.analysis.stats import telemetry_report
 from repro.service.cache import TieredCache
 from repro.service.codec import (AllocateRequest, job_id_for, request_key,
@@ -112,6 +111,10 @@ DEFAULT_BATCH_LIMIT = 4
 
 #: memoized schedule resolutions kept per manager (keyed by shape key)
 SCHEDULE_MEMO_SIZE = 32
+
+#: format marker of a warm-store snapshot; a blob with any other marker
+#: (or none) is a cold start
+WARM_FORMAT = "binding-state-v2"
 
 
 class QueueFullError(ReproError):
@@ -163,9 +166,9 @@ class Job:
     deadline_mono: Optional[float] = None
     done_event: threading.Event = field(default_factory=threading.Event)
     cancel_event: threading.Event = field(default_factory=threading.Event)
-    #: compact warm snapshot of the winning state
-    #: (``CompactState.to_payload`` as canonical JSON), published to the
-    #: warm store when the job finishes; internal, never in ``describe()``
+    #: warm snapshot of the winning state (``encode_state`` under
+    #: :data:`WARM_FORMAT`, as canonical JSON), published to the warm
+    #: store when the job finishes; internal, never in ``describe()``
     warm_payload: Optional[bytes] = field(default=None, repr=False)
 
     def wait(self, timeout: Optional[float] = None) -> bool:
@@ -605,9 +608,7 @@ class JobManager:
             if not result["degraded"] and not result["warm_started"]:
                 self.cache.put(job.key,
                                canonical_dumps(result).encode("utf-8"))
-            # the warm store holds the compact array payload _run_search
-            # left on the job: decoding it rebuilds flat integer columns,
-            # never per-op/per-segment Python object graphs
+            # the warm store holds the snapshot _run_search left on the job
             assert job.warm_payload is not None
             self.cache.put("warm_" + job.shape_key, job.warm_payload)
         self._finish(job, DONE)
@@ -634,9 +635,8 @@ class JobManager:
             return None
         try:
             data = json.loads(payload.decode("utf-8"))
-            if isinstance(data, dict) and \
-                    data.get("format") == PAYLOAD_FORMAT:
-                return CompactState.from_payload(data)
+            if isinstance(data, dict) and data.get("format") == WARM_FORMAT:
+                return decode_state(data["state"])
         except (ValueError, KeyError, TypeError):
             pass
         return None  # torn or foreign snapshot: fall back to a cold start
@@ -700,8 +700,9 @@ class JobManager:
         binding = rebuild_binding(restart_jobs[best.index], best)
         # even a degraded best-so-far answer must be a *legal* allocation
         assert_legal(binding)
+        best_state = encode_state(binding.clone_state())
         job.warm_payload = canonical_dumps(
-            binding.clone_state().to_payload()).encode("utf-8")
+            {"format": WARM_FORMAT, "state": best_state}).encode("utf-8")
 
         all_stats: List[ImproveStats] = \
             [s for outcome in outcomes for s in outcome.stats]
@@ -740,7 +741,7 @@ class JobManager:
             "best_restart": best.index,
             "cost": self._cost_to_dict(best.cost),
             "binding": binding_to_dict(binding),
-            "best_state": encode_state(binding.clone_state()),
+            "best_state": best_state,
             "telemetry": telemetry_report(all_stats),
             "search_seconds": sum(o.seconds for o in outcomes),
         }

@@ -39,6 +39,11 @@ from repro.analysis.stats import service_report
 #: maximum accepted request body (a large CDFG document is ~1 MB)
 MAX_BODY_BYTES = 16 * 1024 * 1024
 
+#: socket timeout of one connection: a client that stalls this long in a
+#: read — a body shorter than its Content-Length, an idle kept-alive
+#: connection — is disconnected and frees its handler thread
+SOCKET_TIMEOUT_S = 30.0
+
 #: how long a synchronous POST /allocate holds the connection before
 #: telling the client to poll GET /jobs/<id> instead
 DEFAULT_SYNC_WAIT_S = 600.0
@@ -155,6 +160,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     service: AllocationService  # injected by make_server()
     protocol_version = "HTTP/1.1"
+    timeout = SOCKET_TIMEOUT_S
 
     # ------------------------------------------------------------- plumbing
 
@@ -206,6 +212,10 @@ class _Handler(BaseHTTPRequestHandler):
             status, payload = 400, {"error": str(exc)}
         except JobNotFoundError as exc:
             status, payload = 404, {"error": str(exc)}
+        except TimeoutError:
+            # the client stalled mid-body: handle_one_request closes the
+            # connection without a reply (and log_message keeps it quiet)
+            raise
         except Exception as exc:  # pragma: no cover - last-resort guard
             status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
         self._send(status, payload)

@@ -178,8 +178,9 @@ PRICED_CASES.update(
 
 def _observed(binding):
     """The state a rejected candidate must leave as mutation + abort does."""
-    return (binding.total_cost(), binding.clone_state(),
-            binding._seg_seq.tolist(), list(binding.placements.items()),
+    state = binding.clone_state()
+    return (binding.total_cost(), state, list(state["placements"]),
+            list(binding.placements.items()),
             list(binding.read_src.items()), list(binding.out_src.items()),
             list(binding.pt_impl.items()))
 

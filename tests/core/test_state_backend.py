@@ -1,19 +1,20 @@
-"""Differential regression: array-backed snapshots vs the legacy dicts.
+"""Differential regression: the two ``restore_state`` paths.
 
-The binding's hot state lives in interned integer columns
-(:mod:`repro.core.arraystate`), but every snapshot is still a readable
-legacy mapping and every restore accepts one.  These tests pin the
-contract that makes that safe: the diff-replay restore path and the
-name-keyed ``to_mapping()`` path must produce **bit-identical search
-trajectories** — same best/cost traces, same final cost, same decision
-dicts, and the same ``placements`` iteration order (dict order feeds the
-transfer-enumeration RNG, so an ordering difference *is* a trajectory
-difference).
+A snapshot cloned by a binding restores into that binding by diffing the
+decision dicts and bulk-copying the clone-time derived state; any other
+name-keyed snapshot restores through the primitives.  These tests pin
+the contract that makes the fast path safe: both paths must produce
+**bit-identical search trajectories** — same best/cost traces, same final
+cost, same decision dicts, and the same ``placements`` iteration order
+(dict order feeds the transfer-enumeration RNG, so an ordering difference
+*is* a trajectory difference).
 """
 
 from __future__ import annotations
 
+import json
 import pickle
+import random
 
 import pytest
 
@@ -22,8 +23,10 @@ from repro.datapath.units import HardwareSpec, make_registers
 from repro.sched.explore import schedule_graph
 from repro.core import (AnnealConfig, ImproveConfig, anneal, improve,
                         initial_allocation)
-from repro.core.arraystate import CompactState
 from repro.core.binding import Binding
+from repro.core.moves import MoveSet
+from repro.core.snapshot import BindingState
+from repro.verify.sanitizer import decode_state, encode_state
 
 SPEC = HardwareSpec.non_pipelined()
 
@@ -61,12 +64,12 @@ def trajectory(binding, stats):
     ) + observables(binding)
 
 
-def force_legacy_backend(monkeypatch):
-    """Route every clone/restore through the name-keyed dict snapshots."""
+def force_primitives_path(monkeypatch):
+    """Route every restore through the primitives: a plain-dict copy of
+    the snapshot (same sections, same dict order) has no owner."""
     original = Binding.clone_state
     monkeypatch.setattr(
-        Binding, "clone_state",
-        lambda self: original(self).to_mapping())
+        Binding, "clone_state", lambda self: dict(original(self)))
 
 
 class TestImproveBackendParity:
@@ -78,27 +81,27 @@ class TestImproveBackendParity:
         config = ImproveConfig(max_trials=3, moves_per_trial=200,
                                seed=seed, sanitize=True, sanitize_every=32)
         binding = fresh_binding(bench)
-        compact = trajectory(binding, improve(binding, config))
+        fast = trajectory(binding, improve(binding, config))
 
         with monkeypatch.context() as patch:
-            force_legacy_backend(patch)
+            force_primitives_path(patch)
             binding = fresh_binding(bench)
-            legacy = trajectory(binding, improve(binding, config))
+            primitives = trajectory(binding, improve(binding, config))
 
-        assert compact == legacy
+        assert fast == primitives
 
     def test_anneal_backend_parity(self, monkeypatch):
         config = AnnealConfig(temperature_levels=4, moves_per_level=150,
                               seed=3, sanitize=True, sanitize_every=32)
         binding = fresh_binding("dct")
-        compact = trajectory(binding, anneal(binding, config))
+        fast = trajectory(binding, anneal(binding, config))
 
         with monkeypatch.context() as patch:
-            force_legacy_backend(patch)
+            force_primitives_path(patch)
             binding = fresh_binding("dct")
-            legacy = trajectory(binding, anneal(binding, config))
+            primitives = trajectory(binding, anneal(binding, config))
 
-        assert compact == legacy
+        assert fast == primitives
 
 
 class TestSnapshotRoundTrips:
@@ -106,48 +109,57 @@ class TestSnapshotRoundTrips:
     def test_clone_equals_its_own_mapping(self):
         binding = fresh_binding("dct")
         state = binding.clone_state()
-        assert isinstance(state, CompactState)
-        assert state == state.to_mapping()
+        assert isinstance(state, BindingState)
+        assert state == dict(state)
         assert state == binding.clone_state()
 
     def test_restore_round_trip_is_identity(self):
         # Both restore paths must agree bit-for-bit — including the
         # placements iteration order, which by design is NOT the clone
-        # -time order after a restore (unchanged keys keep their live
-        # position, diff keys re-enter in snapshot order), but IS a
-        # deterministic function both paths must compute identically.
-        def drift_and_restore(through_mapping):
+        # -time order after a restore: unchanged keys keep their live
+        # position, differing keys re-enter in snapshot order.
+        def drift_and_restore(through_primitives):
             binding = fresh_binding("ewf")
             improve(binding, ImproveConfig(max_trials=1,
                                            moves_per_trial=150, seed=4))
             state = binding.clone_state()
-            improve(binding, ImproveConfig(max_trials=1,
-                                           moves_per_trial=150, seed=5,
-                                           restart_from_best=False))
-            binding.restore_state(state.to_mapping()
-                                  if through_mapping else state)
-            return state, binding, observables(binding)
+            rng = random.Random(5)  # drift: 60 unpriced random moves
+            moves = [fn for _name, fn, _weight in MoveSet().enabled_moves()]
+            for _ in range(60):
+                rng.choice(moves)(binding, rng)
+            drifted = dict(binding.placements)
+            binding.restore_state(dict(state) if through_primitives
+                                  else state)
+            return state, drifted, binding, observables(binding)
 
-        state, binding, via_compact = drift_and_restore(False)
-        _, _, via_mapping = drift_and_restore(True)
-        assert via_compact == via_mapping
+        state, drifted, binding, via_fast = drift_and_restore(False)
+        _, _, _, via_primitives = drift_and_restore(True)
+        assert via_fast == via_primitives
         # and the restored binding's decision content is the snapshot's
         assert state == binding.clone_state()
+        # the order law: unchanged keys in live order, then the
+        # snapshot's differing keys in snapshot order
+        snap = state["placements"]
+        kept = [key for key, regs in drifted.items()
+                if snap.get(key) == regs]
+        assert kept != list(drifted)  # the drift touched placements
+        assert list(binding.placements) == kept + [
+            key for key in snap if key not in kept]
 
     def test_payload_round_trip(self):
         binding = fresh_binding("dct")
         improve(binding, ImproveConfig(max_trials=1, moves_per_trial=150,
                                        seed=7))
         state = binding.clone_state()
-        decoded = CompactState.from_payload(state.to_payload())
+        decoded = decode_state(json.loads(json.dumps(encode_state(state))))
         assert decoded == state
         other = fresh_binding("dct")
         other.restore_state(decoded)
         assert other.total_cost() == pytest.approx(binding.total_cost())
-        # a decoded payload carries no live insertion order, so its view
-        # materializes in sorted-segment order (the legacy codec's order)
-        decoded_view = decoded["placements"]
-        assert list(decoded_view) == sorted(decoded_view)
+        assert other.clone_state() == state
+        # an encoded snapshot carries no live insertion order: it decodes
+        # in sorted-segment order
+        assert list(decoded["placements"]) == sorted(decoded["placements"])
 
     def test_pickle_drops_derived_but_keeps_decisions(self):
         binding = fresh_binding("dct")
@@ -155,6 +167,7 @@ class TestSnapshotRoundTrips:
         assert state.derived is not None
         clone = pickle.loads(pickle.dumps(state))
         assert clone.derived is None
+        assert clone.owner is None
         assert clone == state
         other = fresh_binding("dct")
         other.restore_state(clone)

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.bench import elliptic_wave_filter
+from repro.datapath.units import HardwareSpec
 from repro.io.json_io import cdfg_to_json
 from repro.service.codec import (AllocateRequest, RequestError,
                                  cache_key_payload, job_id_for,
@@ -235,6 +236,25 @@ class TestSchedulingFields:
         # int() used to turn 2.7 into 2 and true into 1
         with pytest.raises(RequestError, match="bad fu_counts"):
             make_request(fu_counts={"adder": 3, "mult": value})
+
+    def test_length_over_a_serial_schedule_rejected(self):
+        # the scheduler sized its busy columns by any accepted length
+        serial = sum(HardwareSpec.non_pipelined().delays()[op.kind]
+                     for op in elliptic_wave_filter().ops.values())
+        assert make_request(length=serial).length == serial
+        for value in (serial + 1, 10 ** 9):
+            with pytest.raises(RequestError, match="bad length"):
+                make_request(length=value)
+
+    def test_fu_count_over_ops_plus_values_rejected(self):
+        # make_fus built one object per counted unit
+        graph = elliptic_wave_filter()
+        most = len(graph.ops) + len(graph.values)
+        request = make_request(fu_counts={"adder": most, "mult": 3})
+        assert request.fu_counts == {"adder": most, "mult": 3}
+        for value in (most + 1, 10 ** 9):
+            with pytest.raises(RequestError, match="bad fu_counts"):
+                make_request(fu_counts={"adder": 3, "mult": value})
 
     def test_fu_counts_must_be_an_object(self):
         with pytest.raises(RequestError, match="fu_counts"):

@@ -129,6 +129,26 @@ def test_non_integer_length_is_400(service_url):
     assert "not an integer >= 1" in str(excinfo.value)
 
 
+@pytest.mark.parametrize("field", ["length", "fu_counts"])
+def test_oversized_scheduling_field_is_400(service_url, field):
+    """Regression: any integer >= 1 was accepted, and the scheduler and
+    make_fus allocated by it before any check ran.  One over each cap is
+    enough to show it."""
+    from repro.bench import elliptic_wave_filter
+    from repro.datapath.units import HardwareSpec
+
+    graph = elliptic_wave_filter()
+    delays = HardwareSpec.non_pipelined().delays()
+    over = {"length": sum(delays[op.kind] for op in graph.ops.values()) + 1,
+            "fu_counts": {"adder": len(graph.ops) + len(graph.values) + 1}}
+    client = ServiceClient(service_url)
+    with pytest.raises(ServiceError) as excinfo:
+        client.allocate({"cdfg": {"bench": "ewf"}, field: over[field],
+                         "improve": {"max_trials": 1, "moves_per_trial": 60}})
+    assert excinfo.value.status == 400
+    assert f"bad {field}" in str(excinfo.value)
+
+
 def test_deeply_nested_body_is_400(service_url):
     """Regression: a body nesting deeper than the JSON decoder's recursion
     guard raised RecursionError, which only the last-resort handler
@@ -175,6 +195,33 @@ def test_non_integer_content_length_is_400(service_url, length):
     assert reply.status == 400
     assert "Content-Length" in payload["error"]
     assert ServiceClient(service_url).healthz()["status"] == "ok"
+
+
+def test_short_body_times_out_quietly(service_url, monkeypatch, capsys):
+    """Regression: a body shorter than its Content-Length held the
+    handler thread in ``rfile.read`` for as long as the client kept the
+    socket open.  The read now times out and the connection closes
+    without a reply or a logged traceback."""
+    import socket
+    import time
+    from urllib.parse import urlparse
+
+    from repro.service.server import _Handler
+
+    monkeypatch.setattr(_Handler, "timeout", 0.5)
+    parsed = urlparse(service_url)
+    with socket.create_connection((parsed.hostname, parsed.port),
+                                  timeout=10) as sock:
+        sock.sendall(b"POST /allocate HTTP/1.1\r\n"
+                     b"Host: localhost\r\n"
+                     b"Content-Type: application/json\r\n"
+                     b"Content-Length: 100\r\n\r\n"
+                     b'{"cdfg":')
+        started = time.monotonic()
+        assert sock.recv(65536) == b""  # closed, no reply
+        assert time.monotonic() - started < 5
+    assert ServiceClient(service_url).healthz()["status"] == "ok"
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_unknown_job_is_404(service_url):

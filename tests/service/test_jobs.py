@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import threading
 import time
@@ -10,13 +11,13 @@ import pytest
 
 from repro.alloc.checker import check_binding
 from repro.errors import ReproError
-from repro.io.json_io import binding_from_json
+from repro.io.json_io import binding_from_json, canonical_dumps
 from repro.service.cache import MemoryLRUCache, TieredCache
 from repro.service.codec import request_from_dict, request_key
 from repro.service.jobs import (CANCELLED, DONE, FAILED, JobManager,
                                 JobNotFoundError, QueueFullError)
 from repro.service.metrics import MetricsRegistry
-from repro.verify.sanitizer import SanitizerError
+from repro.verify.sanitizer import SanitizerError, decode_state
 
 FAST_BUDGET = {"max_trials": 1, "moves_per_trial": 60}
 
@@ -132,20 +133,50 @@ def test_warm_start_reuses_shape_snapshot(manager_setup):
     assert cache.get(warm_job.key) is None
 
 
-def test_warm_snapshot_is_compact_and_column_backed(manager_setup,
-                                                    monkeypatch):
-    """The warm store holds the compact array payload, and a warm-started
-    job restores it as flat integer columns — it never rebuilds (or deep
-    -copies) the per-op/per-segment dict graphs of the legacy codec."""
+#: sha256 of the warm-started result of ``test_warm_start_result_is_pinned``
+#: minus its wall-time and sampled-phase fields
+WARM_START_DIGEST = (
+    "0c1fb72bf811bc29ad5e36dcfa3eeca28f560dea60fc223e9053b2f0772c4919")
+
+
+def _result_digest(result):
+    """sha256 of a result minus its wall-time and sampled-phase fields."""
+    trimmed = {k: v for k, v in result.items() if k != "search_seconds"}
+    trimmed["telemetry"] = {
+        k: v for k, v in result["telemetry"].items()
+        if k != "seconds" and not k.startswith("phase_")}
+    return hashlib.sha256(canonical_dumps(trimmed).encode("utf-8")) \
+        .hexdigest()
+
+
+def test_warm_start_result_is_pinned(manager_setup):
+    """A search seeded from the warm store gives a fixed result: the
+    snapshot's codec may change, the state it restores may not."""
+    manager, _, _ = manager_setup
+    job, _ = manager.submit(fast_request(seed=5))
+    assert job.wait(120)
+    assert job.status == DONE
+
+    warm_job, _ = manager.submit(fast_request(seed=6, warm_start=True,
+                                              restarts=2))
+    assert warm_job.wait(120)
+    assert warm_job.status == DONE
+    assert warm_job.result["warm_started"] is True
+    assert _result_digest(warm_job.result) == WARM_START_DIGEST
+
+
+def test_warm_snapshot_is_an_encoded_state(manager_setup, monkeypatch):
+    """The warm store holds ``encode_state`` under the warm format marker,
+    and a warm-started job restores it as a decoded name-keyed state."""
     import repro.service.jobs as jobs_mod
-    from repro.core.arraystate import PAYLOAD_FORMAT, CompactState
 
     manager, cache, _ = manager_setup
     job, _ = manager.submit(fast_request(seed=5))
     assert job.wait(120)
     assert job.status == DONE
-    blob = cache.get("warm_" + job.shape_key)
-    assert json.loads(blob.decode("utf-8"))["format"] == PAYLOAD_FORMAT
+    blob = json.loads(cache.get("warm_" + job.shape_key).decode("utf-8"))
+    assert blob["format"] == jobs_mod.WARM_FORMAT
+    assert blob["state"] == job.result["best_state"]
 
     warm_states = []
     real_run = jobs_mod.run_restart
@@ -160,27 +191,29 @@ def test_warm_snapshot_is_compact_and_column_backed(manager_setup,
     assert warm_job.status == DONE
     assert warm_job.result["warm_started"] is True
     assert warm_states
-    assert all(isinstance(state, CompactState) for state in warm_states)
+    assert all(state == decode_state(blob["state"])
+               for state in warm_states)
 
 
 def test_name_keyed_warm_snapshot_is_a_cold_start(manager_setup):
-    """Only the compact array payload warms a search; a name-keyed
-    (``encode_state``) snapshot in the warm store is ignored."""
-    from repro.io.json_io import canonical_dumps
-    from repro.verify.sanitizer import encode_state
-
+    """Only a snapshot under the current warm format warms a search: the
+    column payload of earlier releases and a bare, unmarked
+    ``encode_state`` snapshot are both cold starts."""
     manager, cache, metrics = manager_setup
     job, _ = manager.submit(fast_request(seed=5))
     assert job.wait(120)
     assert job.status == DONE
-    binding = binding_from_json(json.dumps(job.result["binding"]))
-    legacy = canonical_dumps(encode_state(binding.clone_state()))
-    cache.put("warm_" + job.shape_key, legacy.encode("utf-8"))
+    old_format = {"format": "compact-state-v1", "tables": {}, "pool": [[]]}
+    unmarked = job.result["best_state"]
 
-    warm_job, _ = manager.submit(fast_request(seed=6, warm_start=True))
-    assert warm_job.wait(120)
-    assert warm_job.status == DONE
-    assert warm_job.result["warm_started"] is False
+    for seed, blob in ((6, old_format), (7, unmarked)):
+        cache.put("warm_" + job.shape_key,
+                  canonical_dumps(blob).encode("utf-8"))
+        warm_job, _ = manager.submit(fast_request(seed=seed,
+                                                  warm_start=True))
+        assert warm_job.wait(120)
+        assert warm_job.status == DONE
+        assert warm_job.result["warm_started"] is False
     assert metrics.counter("jobs_warm_started").value == 0
 
 
