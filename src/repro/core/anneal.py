@@ -9,24 +9,23 @@ can be reproduced as an ablation (``benchmarks/bench_ablation_anneal.py``):
 at equal move budgets, the bounded-uphill iterative-improvement scheme of
 :mod:`repro.core.improve` should reach lower cost than annealing.
 
-The returned :class:`~repro.core.improve.ImproveStats` carries the same
-telemetry :func:`~repro.core.improve.improve` populates — wall-clock,
-integer seed, per-move-type counters, per-level seconds, and the best-cost
-trace — so :mod:`repro.analysis.stats` reports treat both engines alike.
+Both engines run one move loop (:class:`~repro.core.improve.MoveLoop`)
+and differ inside it only by the accept test for an uphill move: here the
+Metropolis test, ``random() < exp(-Δ/T)``, drawn only when Δ > 0.  This
+module adds the cooling schedule; each temperature level is one trial, so
+both engines report the same :class:`~repro.core.improve.ImproveStats`.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.rng import RngLike, WeightedChooser, make_rng
+from repro.rng import RngLike
 from repro.core.binding import Binding
-from repro.core.improve import ImproveStats
+from repro.core.improve import ImproveStats, MoveLoop
 from repro.core.moves import MoveSet
-from repro.verify.sanitizer import make_sanitizer
 
 
 @dataclass
@@ -56,85 +55,21 @@ def anneal(binding: Binding,
     """Run simulated annealing in place; ends at the best state found."""
     if config is None:
         config = AnnealConfig()
-    started = time.perf_counter()
-    rng = make_rng(config.seed)
-    moves = config.move_set.enabled_moves()
-    if not moves:
-        raise ValueError("no moves enabled")
-    chooser = WeightedChooser([m[0] for m in moves], [m[2] for m in moves])
-    fns = {m[0]: m[1] for m in moves}
-
-    stats = ImproveStats()
-    if isinstance(config.seed, int):
-        stats.seed = config.seed
-    sanitizer = make_sanitizer(
-        binding, config.sanitize, config.sanitize_every,
-        context=f"anneal(seed={config.seed!r})")
-    if sanitizer is not None:
-        sanitizer.check()
-    stats.initial_cost = binding.cost()
-    current = stats.initial_cost.total
-    best = current
-    best_state = binding.clone_state()
-    stats.best_trace.append((0, best))
+    loop = MoveLoop(binding, config, "anneal")
+    loop.start()
+    random = loop.rng.random
     temperature = config.initial_temperature
 
-    should_stop = config.should_stop
+    def metropolis(delta: float) -> bool:
+        # reads the temperature of the level being run
+        return random() < math.exp(-delta / temperature)
+
     for _level in range(config.temperature_levels):
-        level_started = time.perf_counter()
-        stats.trials_run += 1
-        uphill_before = stats.uphill_accepted
-        for _ in range(config.moves_per_level):
-            if should_stop is not None and should_stop():
-                stats.stopped_early = True
-                break
-            stats.moves_attempted += 1
-            name = chooser.choose(rng)
-            counters = stats.counters_for(name)
-            counters.attempts += 1
-            if sanitizer is not None:
-                sanitizer.pre_move(name, stats.moves_attempted)
-            binding.begin_move()
-            if not fns[name](binding, rng):
-                binding.commit_move()  # the move wrote nothing
-                continue
-            stats.moves_applied += 1
-            counters.applies += 1
-            new_cost = binding.total_cost()
-            delta = new_cost - current
-            if delta <= 0 or rng.random() < math.exp(-delta / temperature):
-                binding.commit_move()
-                stats.moves_accepted += 1
-                counters.accepts += 1
-                stats.per_move_accepts[name] = \
-                    stats.per_move_accepts.get(name, 0) + 1
-                if delta > 0:
-                    stats.uphill_accepted += 1
-                    counters.uphill += 1
-                current = new_cost
-                if current < best - 1e-9:
-                    best = current
-                    best_state = binding.clone_state()
-                    stats.best_trace.append((stats.moves_attempted, best))
-                if sanitizer is not None:
-                    sanitizer.after_accept(name, stats.moves_attempted)
-            else:
-                counters.rollbacks += 1
-                binding.abort_move()
-                if sanitizer is not None:
-                    sanitizer.after_rollback(name, stats.moves_attempted)
-        stats.cost_trace.append(current)
-        stats.uphill_used.append(stats.uphill_accepted - uphill_before)
-        stats.trial_seconds.append(time.perf_counter() - level_started)
-        if stats.stopped_early:
+        with loop.trial():
+            loop.moves(config.moves_per_level, metropolis)
+        if loop.stats.stopped_early:
             break
         temperature *= config.cooling
         if temperature < config.min_temperature:
             break
-
-    binding.restore_state(best_state)
-    if sanitizer is not None:
-        sanitizer.check()
-    stats.final_cost = binding.cost()
-    stats.seconds = time.perf_counter() - started
-    return stats
+    return loop.finish()

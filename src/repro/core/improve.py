@@ -13,6 +13,13 @@ converged" and used this scheme instead:
 * the best allocation seen anywhere is recorded, and the search stops when
   three successive trials bring no improvement (or a trial cap is hit).
 
+:class:`MoveLoop` is the one randomized move loop of both engines: it
+draws, applies, prices, keeps or reverts every move.  :func:`improve` and
+the annealing ablation (:mod:`repro.core.anneal`) differ inside it only
+by the accept test for an uphill move: here the per-trial uphill budget,
+there the Metropolis test.  The between-trial steps (restore churn,
+restart from best, polish, the idle-trial stop) stay in :func:`improve`.
+
 :class:`ImproveStats` is full search telemetry, not just a counter bag:
 per-trial wall-clock and uphill-budget consumption, per-move-type
 attempt/apply/accept/rollback counters, and the best-cost trace with the
@@ -24,9 +31,11 @@ move index at which each improvement landed.  It round-trips through
 from __future__ import annotations
 
 import json
+import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.rng import RngLike, WeightedChooser, make_rng
 from repro.core.binding import Binding
@@ -169,12 +178,6 @@ class ImproveStats:
         self.phase_ns[phase] = self.phase_ns.get(phase, 0) + elapsed_ns
         self.phase_samples[phase] = self.phase_samples.get(phase, 0) + 1
 
-    def counters_for(self, name: str) -> MoveCounters:
-        counters = self.per_move.get(name)
-        if counters is None:
-            counters = self.per_move[name] = MoveCounters()
-        return counters
-
     def summary(self) -> str:
         initial = self.initial_cost.total if self.initial_cost else float("nan")
         final = self.final_cost.total if self.final_cost else float("nan")
@@ -246,69 +249,103 @@ class ImproveStats:
         return cls.from_dict(json.loads(text))
 
 
-def improve(binding: Binding,
-            config: Optional[ImproveConfig] = None) -> ImproveStats:
-    """Run iterative improvement in place; the binding ends at the best
-    allocation found."""
-    if config is None:
-        config = ImproveConfig()
-    started = time.perf_counter()
-    rng = make_rng(config.seed)
-    moves = config.move_set.enabled_moves()
-    if not moves:
-        raise ValueError("no moves enabled")
-    chooser = WeightedChooser([m[0] for m in moves], [m[2] for m in moves])
-    fns = {m[0]: m[1] for m in moves}
+class MoveLoop:
+    """The randomized move loop of both engines.  An engine brackets each
+    trial (an annealing level) with :meth:`trial`, runs its moves with
+    :meth:`moves` and ends with :meth:`finish`."""
 
-    stats = ImproveStats()
-    if isinstance(config.seed, int):
-        stats.seed = config.seed
-    sanitizer = make_sanitizer(
-        binding, config.sanitize, config.sanitize_every,
-        context=f"improve(seed={config.seed!r})")
-    stats.initial_cost = binding.cost()
-    current = stats.initial_cost.total
-    if config.polish_trials:
-        current = polish(binding, config.move_set)
-    if sanitizer is not None:
-        sanitizer.check()
-    best = current
-    best_state = binding.clone_state()
-    stats.best_trace.append((0, best))
-    idle_trials = 0
-    profile_every = config.profile_every
-    # hot-loop locals: the inner loop runs tens of thousands of times per
-    # second, so attribute lookups on these are hoisted out of it
-    should_stop = config.should_stop
-    choose = chooser.choose
-    begin_move = binding.begin_move
-    commit_move = binding.commit_move
-    abort_move = binding.abort_move
-    total_cost = binding.total_cost
-    counters_map = stats.per_move
+    def __init__(self, binding: Binding, config: Any, engine: str,
+                 profile_every: int = 0) -> None:
+        self.started = time.perf_counter()
+        self.binding = binding
+        self.config = config
+        self.profile_every = profile_every
+        self.rng = make_rng(config.seed)
+        moves = config.move_set.enabled_moves()
+        if not moves:
+            raise ValueError("no moves enabled")
+        self.chooser = WeightedChooser([m[0] for m in moves],
+                                       [m[2] for m in moves])
+        self.fns = {m[0]: m[1] for m in moves}
+        self.stats = ImproveStats()
+        if isinstance(config.seed, int):
+            self.stats.seed = config.seed
+        self.sanitizer = make_sanitizer(
+            binding, config.sanitize, config.sanitize_every,
+            context=f"{engine}(seed={config.seed!r})")
+        self.stats.initial_cost = binding.cost()
+        self.current = self.stats.initial_cost.total
+        self.best = math.inf
 
-    restore_churn = config.restore_churn
-    for _trial in range(config.max_trials):
-        trial_started = time.perf_counter()
+    def check(self) -> None:
+        """Run the sanitizer's full check, when the sanitizer is on."""
+        if self.sanitizer is not None:
+            self.sanitizer.check()
+
+    def start(self) -> None:
+        """Check the current state and record it as the first best."""
+        self.check()
+        self.settle(self.current, 0)
+
+    def settle(self, cost: float, index: int) -> bool:
+        """Make *cost* the current cost; True (and a snapshot of the
+        binding) when it beats the best by more than the tolerance."""
+        self.current = cost
+        if cost < self.best - 1e-9:
+            self.best = cost
+            self.best_state = self.binding.clone_state()
+            self.stats.best_trace.append((index, cost))
+            return True
+        return False
+
+    def restore_best(self) -> None:
+        """Return the binding to the best state seen so far."""
+        tick = time.perf_counter_ns()
+        self.binding.restore_state(self.best_state)
+        if self.profile_every:
+            self.stats.add_phase("restore", time.perf_counter_ns() - tick)
+        self.current = self.best
+
+    @contextmanager
+    def trial(self) -> Iterator[None]:
+        """Bracket one trial: its cost, uphill use and wall-clock cover
+        everything the engine does inside the ``with`` block."""
+        stats = self.stats
+        started = time.perf_counter()
         stats.trials_run += 1
-        if restore_churn > 0 and _trial % restore_churn == 0:
-            churn_snap = binding.clone_state()
-            binding.restore_state(best_state)
-            binding.restore_state(churn_snap)
-            if sanitizer is not None:
-                sanitizer.check()
-        if config.restart_from_best and current > best + 1e-9:
-            if profile_every:
-                tick = time.perf_counter_ns()
-                binding.restore_state(best_state)
-                stats.add_phase("restore", time.perf_counter_ns() - tick)
-            else:
-                binding.restore_state(best_state)
-            current = best
-        uphill_left = config.uphill_per_trial
-        improved_this_trial = False
+        uphill_before = stats.uphill_accepted
+        yield
+        stats.cost_trace.append(self.current)
+        stats.uphill_used.append(stats.uphill_accepted - uphill_before)
+        stats.trial_seconds.append(time.perf_counter() - started)
+
+    def moves(self, count: int,
+              accept_uphill: Callable[[float], bool]) -> bool:
+        """Attempt up to *count* random moves.  A move that does not raise
+        the cost is kept; one that does is kept only when *accept_uphill*
+        (called with its Δcost > 0) says so.  Stops early, setting
+        ``stats.stopped_early``, when ``config.should_stop`` fires.
+        Returns whether the best cost improved."""
+        binding = self.binding
+        rng = self.rng
+        stats = self.stats
+        sanitizer = self.sanitizer
+        fns = self.fns
+        profile_every = self.profile_every
+        # hot-loop locals: the loop runs tens of thousands of times per
+        # second, so attribute lookups on these are hoisted out of it
+        should_stop = self.config.should_stop
+        choose = self.chooser.choose
+        begin_move = binding.begin_move
+        commit_move = binding.commit_move
+        abort_move = binding.abort_move
+        total_cost = binding.total_cost
+        settle = self.settle
+        counters_map = stats.per_move
+        current = self.current
         attempted = stats.moves_attempted
-        for _ in range(config.moves_per_trial):
+        improved = False
+        for _ in range(count):
             if should_stop is not None and should_stop():
                 stats.stopped_early = True
                 break
@@ -337,70 +374,94 @@ def improve(binding: Binding,
             new_cost = total_cost()
             if sampled:
                 stats.add_phase("evaluate", time.perf_counter_ns() - tick)
-            accept = new_cost <= current
-            if not accept and uphill_left > 0:
-                accept = True
-                uphill_left -= 1
+            if new_cost > current:
+                if not accept_uphill(new_cost - current):
+                    counters.rollbacks += 1
+                    if sampled:
+                        tick = time.perf_counter_ns()
+                        abort_move()
+                        stats.add_phase("rollback",
+                                        time.perf_counter_ns() - tick)
+                    else:
+                        abort_move()
+                    if sanitizer is not None:
+                        sanitizer.after_rollback(name, attempted)
+                    continue
                 stats.uphill_accepted += 1
                 counters.uphill += 1
-            if accept:
-                commit_move()
-                counters.accepts += 1
-                current = new_cost
-                if current < best - 1e-9:
-                    best = current
-                    best_state = binding.clone_state()
-                    stats.best_trace.append((attempted, best))
-                    improved_this_trial = True
-                if sanitizer is not None:
-                    sanitizer.after_accept(name, attempted)
-            else:
-                counters.rollbacks += 1
-                if sampled:
-                    tick = time.perf_counter_ns()
-                    abort_move()
-                    stats.add_phase("rollback",
-                                    time.perf_counter_ns() - tick)
-                else:
-                    abort_move()
-                if sanitizer is not None:
-                    sanitizer.after_rollback(name, attempted)
+            commit_move()
+            counters.accepts += 1
+            current = new_cost
+            if settle(current, attempted):
+                improved = True
+            if sanitizer is not None:
+                sanitizer.after_accept(name, attempted)
         stats.moves_attempted = attempted
+        self.current = current
+        return improved
+
+    def finish(self) -> ImproveStats:
+        """Fill in the derived totals, restore the best state and return
+        the stats."""
+        stats = self.stats
+        # the aggregate tallies are derivable from the per-move counters,
+        # so the move loop maintains only the latter
+        counters = stats.per_move
+        stats.moves_applied = sum(c.applies for c in counters.values())
+        stats.moves_accepted = sum(c.accepts for c in counters.values())
+        stats.per_move_accepts = {name: c.accepts
+                                  for name, c in sorted(counters.items())
+                                  if c.accepts}
+        self.binding.restore_state(self.best_state)
+        self.check()
+        stats.final_cost = self.binding.cost()
+        stats.seconds = time.perf_counter() - self.started
+        return stats
+
+
+def improve(binding: Binding,
+            config: Optional[ImproveConfig] = None) -> ImproveStats:
+    """Run iterative improvement in place; the binding ends at the best
+    allocation found."""
+    if config is None:
+        config = ImproveConfig()
+    loop = MoveLoop(binding, config, "improve", config.profile_every)
+    if config.polish_trials:
+        loop.current = polish(binding, config.move_set)
+    loop.start()
+    stats = loop.stats
+    uphill_left = 0
+
+    def spend_uphill(_delta: float) -> bool:
+        nonlocal uphill_left
+        if uphill_left > 0:
+            uphill_left -= 1
+            return True
+        return False
+
+    idle_trials = 0
+    for trial in range(config.max_trials):
+        uphill_left = config.uphill_per_trial
+        with loop.trial():
+            if config.restore_churn > 0 and trial % config.restore_churn == 0:
+                churn_snap = binding.clone_state()
+                binding.restore_state(loop.best_state)
+                binding.restore_state(churn_snap)
+                loop.check()
+            if config.restart_from_best and loop.current > loop.best + 1e-9:
+                loop.restore_best()
+            improved = loop.moves(config.moves_per_trial, spend_uphill)
+            # a trial cut short skips its polish
+            if config.polish_trials and not stats.stopped_early:
+                if loop.settle(polish(binding, config.move_set),
+                               stats.moves_attempted):
+                    improved = True
         if stats.stopped_early:
-            # the trial was cut short: record its partial telemetry, then
-            # fall through to the best-state restore below
-            stats.cost_trace.append(current)
-            stats.uphill_used.append(config.uphill_per_trial - uphill_left)
-            stats.trial_seconds.append(time.perf_counter() - trial_started)
             break
-        if config.polish_trials:
-            current = polish(binding, config.move_set)
-            if current < best - 1e-9:
-                best = current
-                best_state = binding.clone_state()
-                stats.best_trace.append((stats.moves_attempted, best))
-                improved_this_trial = True
-        stats.cost_trace.append(current)
-        stats.uphill_used.append(config.uphill_per_trial - uphill_left)
-        stats.trial_seconds.append(time.perf_counter() - trial_started)
-        if improved_this_trial:
+        if improved:
             idle_trials = 0
         else:
             idle_trials += 1
             if idle_trials >= config.idle_trials_stop:
                 break
-
-    # the aggregate tallies are derivable from the per-move counters, so the
-    # hot loop maintains only the latter and these are filled in once here
-    stats.moves_applied = sum(c.applies for c in counters_map.values())
-    stats.moves_accepted = sum(c.accepts for c in counters_map.values())
-    stats.per_move_accepts = {name: c.accepts
-                              for name, c in sorted(counters_map.items())
-                              if c.accepts}
-
-    binding.restore_state(best_state)
-    if sanitizer is not None:
-        sanitizer.check()
-    stats.final_cost = binding.cost()
-    stats.seconds = time.perf_counter() - started
-    return stats
+    return loop.finish()

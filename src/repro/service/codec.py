@@ -31,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.errors import ReproError
 from repro.cdfg.graph import CDFG
@@ -59,12 +59,6 @@ _BENCH_BUILDERS = {
     "ar": "ar_lattice",
 }
 
-_IMPROVE_KNOBS = ("max_trials", "moves_per_trial", "uphill_per_trial",
-                  "idle_trials_stop", "restart_from_best", "polish_trials")
-_ANNEAL_KNOBS = ("initial_temperature", "cooling", "temperature_levels",
-                 "moves_per_level", "min_temperature")
-
-
 class RequestError(ReproError):
     """A malformed or unsupported allocation request."""
 
@@ -84,7 +78,8 @@ class AllocateRequest:
     seed: int = 0
     restarts: int = 1
     #: engine knob overrides (only keys in ``_IMPROVE_KNOBS`` /
-    #: ``_ANNEAL_KNOBS``; everything else is rejected at decode time)
+    #: ``_ANNEAL_KNOBS``, with values their checks pass; everything else
+    #: is rejected at decode time)
     improve: Dict[str, Any] = field(default_factory=dict)
     anneal: Dict[str, Any] = field(default_factory=dict)
     #: timing constraint: when the winning binding's analyzed clock period
@@ -119,12 +114,13 @@ class AllocateRequest:
             raise RequestError("deadline_ms must be positive")
         if self.max_clock_ns is not None and self.max_clock_ns <= 0:
             raise RequestError("max_clock_ns must be positive")
-        for knob in self.improve:
-            if knob not in _IMPROVE_KNOBS:
-                raise RequestError(f"unknown improve knob {knob!r}")
-        for knob in self.anneal:
-            if knob not in _ANNEAL_KNOBS:
-                raise RequestError(f"unknown anneal knob {knob!r}")
+        for engine, knobs, checks in (
+                ("improve", self.improve, _IMPROVE_KNOBS),
+                ("anneal", self.anneal, _ANNEAL_KNOBS)):
+            for knob, value in knobs.items():
+                if knob not in checks:
+                    raise RequestError(f"unknown {engine} knob {knob!r}")
+                checks[knob](f"{engine}[{knob!r}]", value)
 
 
 # ----------------------------------------------------------------- decode
@@ -159,17 +155,64 @@ def _finite_number(name: str, value: Any) -> float:
     return value
 
 
-def _positive_int(name: str, value: Any) -> int:
-    """*value* if it is an int >= 1 (not a bool).
+def _integer(name: str, value: Any, least: Optional[int]) -> int:
+    """*value* if it is an int (not a bool) and, when *least* is given,
+    at least *least*.
 
-    A length or a unit/register count is used as a count by scheduling
-    and allocation, so a string or a float would fail there with a
-    TypeError, and ``int()`` would quietly turn ``true`` into 1 and
-    ``2.7`` into 2.
+    A length, a unit/register count or a search budget is used as a count
+    by scheduling, allocation and search, so a string or a float would
+    fail there with a TypeError, and ``int()`` would quietly turn
+    ``true`` into 1 and ``2.7`` into 2.
     """
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise RequestError(f"bad {name}: {value!r} is not an integer >= 1")
+    if isinstance(value, bool) or not isinstance(value, int) \
+            or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise RequestError(f"bad {name}: {value!r} is not an integer{bound}")
     return value
+
+
+def _count(name: str, value: Any) -> int:
+    return _integer(name, value, 0)
+
+
+def _flag(name: str, value: Any) -> bool:
+    """*value* if it is a JSON boolean (``bool("no")`` would be True)."""
+    if not isinstance(value, bool):
+        raise RequestError(f"bad {name}: {value!r} is not a boolean")
+    return value
+
+
+def _temperature(name: str, value: Any) -> float:
+    """A finite number > 0: the Metropolis test divides by it."""
+    if _finite_number(name, value) <= 0:
+        raise RequestError(f"bad {name}: {value!r} is not > 0")
+    return value
+
+
+def _cooling(name: str, value: Any) -> float:
+    """A finite number in (0, 1]: it scales the temperature each level."""
+    if not 0 < _finite_number(name, value) <= 1:
+        raise RequestError(f"bad {name}: {value!r} is not in (0, 1]")
+    return value
+
+
+#: engine knob -> check of its value, run when a request is built, so a
+#: bad value is a 400 rather than a failed (or quietly wrong) search
+_IMPROVE_KNOBS: Dict[str, Callable[[str, Any], Any]] = {
+    "max_trials": _count, "moves_per_trial": _count,
+    "uphill_per_trial": _count, "idle_trials_stop": _count,
+    "restart_from_best": _flag, "polish_trials": _flag}
+_ANNEAL_KNOBS: Dict[str, Callable[[str, Any], Any]] = {
+    "initial_temperature": _temperature, "cooling": _cooling,
+    "temperature_levels": _count, "moves_per_level": _count,
+    "min_temperature": _temperature}
+
+
+def _knobs(data: Dict[str, Any], engine: str) -> Dict[str, Any]:
+    knobs = data.get(engine, {})
+    if not isinstance(knobs, dict):
+        raise RequestError(f"request {engine!r} must be an object")
+    return dict(knobs)
 
 
 def request_from_dict(data: Dict[str, Any]) -> AllocateRequest:
@@ -232,7 +275,7 @@ def request_from_dict(data: Dict[str, Any]) -> AllocateRequest:
     # no type can put more than ops + values units to use.
     length, registers = data.get("length"), data.get("registers")
     if length is not None:
-        length = _positive_int("length", length)
+        length = _integer("length", length, 1)
         delays = spec.delays()
         serial = sum(delays.get(op.kind, 1) for op in graph.ops.values())
         if length > serial:
@@ -240,12 +283,12 @@ def request_from_dict(data: Dict[str, Any]) -> AllocateRequest:
                 f"bad length: {length} is over {serial}, the length of a "
                 f"fully serial schedule")
     if registers is not None:
-        registers = _positive_int("registers", registers)
+        registers = _integer("registers", registers, 1)
     fu_counts = data.get("fu_counts")
     if fu_counts is not None:
         if not isinstance(fu_counts, dict):
             raise RequestError("request 'fu_counts' must be an object")
-        fu_counts = {str(k): _positive_int(f"fu_counts[{k!r}]", v)
+        fu_counts = {str(k): _integer(f"fu_counts[{k!r}]", v, 1)
                      for k, v in fu_counts.items()}
         most = len(graph.ops) + len(graph.values)
         for name, count in fu_counts.items():
@@ -262,10 +305,10 @@ def request_from_dict(data: Dict[str, Any]) -> AllocateRequest:
             fu_counts=fu_counts,
             registers=registers,
             weights=weights,
-            seed=int(data.get("seed", 0)),
-            restarts=int(data.get("restarts", 1)),
-            improve=dict(data.get("improve", {})),
-            anneal=dict(data.get("anneal", {})),
+            seed=_integer("seed", data.get("seed", 0), None),
+            restarts=_integer("restarts", data.get("restarts", 1), 1),
+            improve=_knobs(data, "improve"),
+            anneal=_knobs(data, "anneal"),
             deadline_ms=data.get("deadline_ms"),
             warm_start=bool(data.get("warm_start", False)),
             cache_ok=bool(data.get("cache", True)),

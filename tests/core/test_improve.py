@@ -1,6 +1,7 @@
 """Unit tests for iterative improvement, polish and annealing."""
 
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -23,6 +24,101 @@ def fresh_binding(length=19, extra_regs=1):
     return initial_allocation(
         schedule, SPEC.make_fus(schedule.min_fus()),
         make_registers(schedule.min_registers() + extra_regs))
+
+
+def _stop_after(calls):
+    """A ``should_stop`` hook that fires on its *calls*-th check."""
+    checks = itertools.count(1)
+    return lambda: next(checks) >= calls
+
+
+def _dct_binding():
+    schedule = schedule_graph(discrete_cosine_transform(), SPEC, 10)
+    return initial_allocation(
+        schedule, SPEC.make_fus(schedule.min_fus()),
+        make_registers(schedule.min_registers() + 1))
+
+
+def _searched(make_binding, engine, config):
+    binding = make_binding()
+    return binding, engine(binding, config)
+
+
+#: name -> (run returning ``(binding, stats)``, predicate on the stats that
+#: shows the run reached the path it is named after)
+SEARCH_RUNS = {
+    "anneal-uphill": (
+        lambda: _searched(fresh_binding, anneal, AnnealConfig(
+            temperature_levels=4, moves_per_level=200, seed=9)),
+        lambda stats: stats.uphill_accepted > 0),
+    "anneal-traditional": (
+        lambda: _searched(_dct_binding, anneal, AnnealConfig(
+            temperature_levels=4, moves_per_level=200,
+            move_set=MoveSet.traditional(), seed=3)),
+        lambda stats: stats.uphill_accepted > 0
+        and "R2b" not in stats.per_move),
+    "anneal-stopped-mid-level": (
+        lambda: _searched(fresh_binding, anneal, AnnealConfig(
+            temperature_levels=6, moves_per_level=100, seed=4,
+            should_stop=_stop_after(251))),
+        lambda stats: stats.stopped_early and stats.moves_attempted == 250
+        and stats.trials_run == 3),
+    "improve-profiled-churn": (
+        lambda: _searched(fresh_binding, improve, ImproveConfig(
+            max_trials=4, moves_per_trial=250, profile_every=7,
+            restore_churn=1, seed=5)),
+        lambda stats: stats.phase_samples.get("restore", 0) > 0),
+    "improve-no-polish-no-restart": (
+        lambda: _searched(_dct_binding, improve, ImproveConfig(
+            max_trials=4, moves_per_trial=300, polish_trials=False,
+            restart_from_best=False, seed=6)),
+        lambda stats: stats.uphill_accepted > 0),
+    "improve-stopped-mid-trial": (
+        lambda: _searched(fresh_binding, improve, ImproveConfig(
+            max_trials=5, moves_per_trial=200, seed=7,
+            should_stop=_stop_after(501))),
+        lambda stats: stats.stopped_early and stats.moves_attempted == 500
+        and stats.trials_run == 3),
+}
+
+#: sha256 of ``_search_digest`` for each ``SEARCH_RUNS`` entry
+SEARCH_DIGESTS = {
+    "anneal-uphill":
+        "e57c78d77f73ca840e6f79d6e097b5184082fe0d101f312e98db53c11512d415",
+    "anneal-traditional":
+        "51d2d579f7ef629c2375710f2a6c64b02600c5fdddc15501a7747763c612b5b3",
+    "anneal-stopped-mid-level":
+        "a52b65f082b5cb41fae7d156e673676574a6d3c66bc7f025f2184e7dafe75594",
+    "improve-profiled-churn":
+        "e4f4c5ed7097683b570a655868344c7d8ea9f39aec7411659b9f295a59f252d2",
+    "improve-no-polish-no-restart":
+        "13087e36b1ec3647b0959967d78bc51e24ec56849fb0df977cac41adfde31b77",
+    "improve-stopped-mid-trial":
+        "8b18a31f4ddcd25f1f492b8eb631a0f41ef4c84356a9ce0246fe48a4bd5b1162",
+}
+
+
+def _search_digest(binding, stats):
+    trimmed = {k: v for k, v in stats.to_dict().items()
+               if k not in ("seconds", "trial_seconds", "phase_ns")}
+    decisions = {section: [[key, value] for key, value in entries.items()]
+                 for section, entries in binding.clone_state().items()}
+    blob = json.dumps({"stats": trimmed, "decisions": decisions},
+                      sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("engine,config_type", [(improve, ImproveConfig),
+                                                (anneal, AnnealConfig)],
+                         ids=["improve", "anneal"])
+def test_no_moves_enabled_rejected(engine, config_type):
+    """Both engines reject an empty enabled-move set up front instead of
+    spinning the full budget doing nothing."""
+    binding = fresh_binding()
+    with pytest.raises(ValueError, match="no moves"):
+        engine(binding, config_type(
+            move_set=MoveSet(weights={k: 0.0 for k in
+                                      MoveSet.DEFAULT_WEIGHTS})))
 
 
 class TestImprove:
@@ -54,6 +150,16 @@ class TestImprove:
         assert hashlib.sha256(blob).hexdigest() == (
             "6ece71fdaf4b13c87b47ca6047a16e98465a91745a63354c76358bf8b6c378fd")
 
+    @pytest.mark.parametrize("name", sorted(SEARCH_DIGESTS))
+    def test_search_trajectory_matches_pinned_digest(self, name):
+        """The move loop's off-default paths, each pinned by a digest of
+        the stats (minus the timing fields) and of every decision dict in
+        iteration order; ``SEARCH_RUNS`` says what each run exercises."""
+        run, exercised = SEARCH_RUNS[name]
+        binding, stats = run()
+        assert exercised(stats)
+        assert _search_digest(binding, stats) == SEARCH_DIGESTS[name]
+
     def test_never_worse_than_initial(self):
         binding = fresh_binding()
         initial = binding.cost().total
@@ -78,13 +184,6 @@ class TestImprove:
             max_trials=50, moves_per_trial=40, uphill_per_trial=0,
             idle_trials_stop=2, polish_trials=False, seed=3))
         assert stats.trials_run < 50
-
-    def test_no_moves_enabled_rejected(self):
-        binding = fresh_binding()
-        with pytest.raises(ValueError, match="no moves"):
-            improve(binding, ImproveConfig(
-                move_set=MoveSet(weights={k: 0.0 for k in
-                                          MoveSet.DEFAULT_WEIGHTS})))
 
     def test_deterministic_for_fixed_seed(self):
         results = []
@@ -159,15 +258,6 @@ class TestAnneal:
                                              moves_per_level=150, seed=5))
         assert stats.final_cost.total <= initial
         assert check_binding(binding) == []
-
-    def test_no_moves_enabled_rejected(self):
-        """Regression: anneal() must reject an empty enabled-move set the
-        same way improve() does, not spin the full budget doing nothing."""
-        binding = fresh_binding()
-        with pytest.raises(ValueError, match="no moves"):
-            anneal(binding, AnnealConfig(
-                move_set=MoveSet(weights={k: 0.0 for k in
-                                          MoveSet.DEFAULT_WEIGHTS})))
 
     def test_telemetry_parity_with_improve(self):
         """Regression: annealing runs once reported seconds=0.0, no seed,

@@ -88,6 +88,36 @@ def test_job_id_is_deterministic_and_short():
     ({"cdfg": {"bench": "ewf"}, "anneal": {"warp": 9}}, "anneal knob"),
     ({"cdfg": {"bench": "ewf"}, "spec": 7}, "spec"),
     ({"cdfg": "ewf"}, "'cdfg' must be"),
+    # engine knob values: each used to be queued and then fail the job
+    # (ZeroDivisionError, TypeError) or run quietly wrong ("no" is True)
+    ({"cdfg": {"bench": "ewf"}, "anneal": {"initial_temperature": 0}},
+     "initial_temperature"),
+    ({"cdfg": {"bench": "ewf"}, "anneal": {"min_temperature": -1.0}},
+     "min_temperature"),
+    ({"cdfg": {"bench": "ewf"}, "anneal": {"initial_temperature": "hot"}},
+     "initial_temperature"),
+    ({"cdfg": {"bench": "ewf"}, "anneal": {"cooling": "x"}}, "cooling"),
+    ({"cdfg": {"bench": "ewf"}, "anneal": {"cooling": 1.5}}, "cooling"),
+    ({"cdfg": {"bench": "ewf"}, "anneal": {"cooling": 0}}, "cooling"),
+    ({"cdfg": {"bench": "ewf"}, "anneal": {"temperature_levels": 2.5}},
+     "temperature_levels"),
+    ({"cdfg": {"bench": "ewf"}, "improve": {"max_trials": "3"}},
+     "max_trials"),
+    ({"cdfg": {"bench": "ewf"}, "improve": {"moves_per_trial": -1}},
+     "moves_per_trial"),
+    ({"cdfg": {"bench": "ewf"}, "improve": {"uphill_per_trial": True}},
+     "uphill_per_trial"),
+    ({"cdfg": {"bench": "ewf"}, "improve": {"restart_from_best": "no"}},
+     "restart_from_best"),
+    ({"cdfg": {"bench": "ewf"}, "improve": {"polish_trials": 0}},
+     "polish_trials"),
+    ({"cdfg": {"bench": "ewf"}, "improve": [["max_trials", 3]]},
+     "'improve' must be an object"),
+    ({"cdfg": {"bench": "ewf"}, "restarts": "2"}, "restarts"),
+    ({"cdfg": {"bench": "ewf"}, "restarts": 2.5}, "restarts"),
+    ({"cdfg": {"bench": "ewf"}, "seed": "7"}, "seed"),
+    ({"cdfg": {"bench": "ewf"}, "seed": 7.0}, "seed"),
+    ({"cdfg": {"bench": "ewf"}, "seed": True}, "seed"),
 ])
 def test_bad_requests_are_rejected(body, phrase):
     with pytest.raises(RequestError, match=phrase):
