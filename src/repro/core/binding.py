@@ -269,16 +269,6 @@ class Binding:
         return sorted(n for n, f in self.fus.items()
                       if f.type_name == type_name)
 
-    def ops_on_fu(self, fu: str) -> List[str]:
-        """Operations currently bound to *fu* (each listed once)."""
-        ops = {tok[1] for (f, _s), tok in self.fu_tokens.items()
-               if f == fu and tok[0] == "op"}
-        return sorted(ops)
-
-    def values_in_reg(self, reg: str) -> List[Tuple[str, int]]:
-        """(value, step) segments currently placed in *reg*."""
-        return sorted((v, s) for (r, s), v in self.reg_occ.items() if r == reg)
-
     def live_at(self, step: int) -> Tuple[str, ...]:
         """Values live at *step*, sorted (precomputed, O(1))."""
         return self._live_at[step]
@@ -347,29 +337,6 @@ class Binding:
             del fu_load[name]
             self._fu_used_count -= 1
             self._fu_type_drop(name, journal)
-
-    def _reg_load_add(self, name: str) -> None:
-        reg_load = self._reg_load
-        journal = self._raw_journal
-        load = reg_load.get(name, 0) + 1
-        if journal is not None:
-            journal.append((reg_load, name,
-                            load - 1 if load > 1 else _ABSENT))
-        reg_load[name] = load
-        if load == 1:
-            self._reg_used_count += 1
-
-    def _reg_load_drop(self, name: str) -> None:
-        reg_load = self._reg_load
-        journal = self._raw_journal
-        load = reg_load[name] - 1
-        if journal is not None:
-            journal.append((reg_load, name, load + 1))
-        if load:
-            reg_load[name] = load
-        else:
-            del reg_load[name]
-            self._reg_used_count -= 1
 
     # ------------------------------------------------------------- primitives
 

@@ -5,7 +5,10 @@ and a bounded job queue, exposed over a stdlib-only JSON HTTP API::
 
     python -m repro.service serve          # run the server
     python -m repro.service submit ...     # POST /allocate from the CLI
-    python -m repro.service bench          # concurrent throughput bench
+    python -m repro.service smoke          # the CI end-to-end check
+
+Throughput and latency are measured by the repository benchmark,
+``python3 perfbench/run.py --workload service-miss``.
 
 See DESIGN.md §4 for the canonical-encoding / cache-key invariant and
 the retry/degradation policy the whole layer is built on.
@@ -23,8 +26,6 @@ from repro.service.metrics import (Counter, Gauge, Histogram,
 from repro.service.server import (AllocationService, ServerThread,
                                   make_server, serve_forever)
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.loadgen import (mutant_requests, run_saturation_bench,
-                                   run_throughput_bench)
 
 __all__ = [
     "AllocateRequest", "AllocationService", "Counter", "DiskCache",
@@ -32,7 +33,6 @@ __all__ = [
     "MemoryLRUCache", "MetricsRegistry", "QueueFullError", "RequestError",
     "ServerThread", "ServiceClient", "ServiceError", "TieredCache",
     "cache_key_payload", "default_cache_dir", "job_id_for",
-    "make_server", "mutant_requests", "request_from_dict", "request_key",
-    "run_saturation_bench", "run_throughput_bench", "serve_forever",
+    "make_server", "request_from_dict", "request_key", "serve_forever",
     "warm_key",
 ]

@@ -1,14 +1,14 @@
-"""``python -m repro.service`` — serve, submit, status, bench, smoke.
+"""``python -m repro.service`` — serve, submit, status, smoke.
 
 * ``serve``  — run the HTTP server in the foreground.
 * ``submit`` — build a request from flags (or ``--request-file``) and
   POST it; prints the JSON response.
 * ``status`` — poll ``GET /jobs/<id>`` (``--wait`` blocks until done).
-* ``bench``  — the concurrent throughput benchmark; against ``--url`` or
-  an in-process server (``--saturation`` adds the offered-load sweep).
 * ``smoke``  — the CI end-to-end check: start a server, submit the same
   EWF request twice, assert the second is a cache hit with a
-  byte-identical result payload, scrape ``/metricsz``.
+  byte-identical result payload, scrape ``/metricsz``, then post a burst
+  of cache-bypassing zoo bodies at each of :data:`BURST_CLIENTS`
+  concurrent clients; any dropped or failed request fails the smoke.
   ``--multiprocess`` hardens the check: two *separate server processes*
   share one on-disk cache tier, and the reply served by the second
   process must be byte-identical to the one computed by the first.
@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import shutil
+import signal
 import socket
 import subprocess
 import sys
@@ -27,8 +28,12 @@ import tempfile
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.loadgen import run_saturation_bench, run_throughput_bench
+from repro.service.loadgen import _drive_clients, zoo_requests
 from repro.service.server import ServerThread, serve_forever
+
+#: concurrent clients of each smoke burst; each client posts one
+#: cache-bypassing zoo body, so every request is a real search
+BURST_CLIENTS = (2, 8, 32)
 
 
 def _build_request(args: argparse.Namespace) -> Dict[str, Any]:
@@ -55,6 +60,9 @@ def _build_request(args: argparse.Namespace) -> Dict[str, Any]:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    # a supervisor stops the server with SIGTERM: unwind as on Ctrl-C, so
+    # serve_forever shuts the worker pool down instead of orphaning it
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     serve_forever(host=args.host, port=args.port, workers=args.workers,
                   queue_limit=args.queue_limit,
                   cache_dir=args.cache_dir,
@@ -84,39 +92,6 @@ def _cmd_status(args: argparse.Namespace) -> int:
         payload = client.job(args.job_id)
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0 if payload.get("status") != "failed" else 1
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    zoo_families = None
-    if args.zoo_families:
-        zoo_families = [name.strip()
-                        for name in args.zoo_families.split(",")
-                        if name.strip()]
-    report: Dict[str, Any] = run_throughput_bench(
-        url=args.url, clients=args.clients,
-        requests_per_client=args.requests, fast=not args.full,
-        deadline_ms=args.deadline_ms, worker_mode=args.worker_mode,
-        server_workers=args.workers,
-        zoo=args.zoo or zoo_families is not None,
-        zoo_families=zoo_families)
-    dropped = report["outcome"]["dropped"]
-    errors = report["outcome"]["errors"]
-    if args.saturation:
-        levels = tuple(int(level) for level in args.saturation.split(","))
-        report["saturation"] = run_saturation_bench(
-            levels=levels, fast=not args.full,
-            server_workers=args.workers, worker_mode=args.worker_mode,
-            url=args.url)
-        for level in report["saturation"]["levels"]:
-            dropped += level["dropped"]
-            errors += level["errors"]
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-        print(f"wrote {args.json}")
-    print(text)
-    return 0 if dropped == 0 and errors == 0 else 1
 
 
 def _free_port() -> int:
@@ -189,6 +164,22 @@ def _smoke_multiprocess(body: Dict[str, Any],
         shutil.rmtree(cache_dir, ignore_errors=True)
 
 
+def _smoke_bursts(url: str, check: Callable[[bool, str], None]) -> None:
+    """One burst per level of :data:`BURST_CLIENTS`; none may drop or
+    fail a request."""
+    for index, clients in enumerate(BURST_CLIENTS):
+        pool = zoo_requests(clients, seed_base=1000 * (index + 1),
+                            use_cache=False)
+        samples = _drive_clients(url, pool, clients)
+        done = sum(1 for sample in samples if sample["ok"])
+        errors = sorted({str(sample.get("error", sample["status"]))
+                         for sample in samples if not sample["ok"]})
+        check(done == clients,
+              f"burst of {clients} clients: {done}/{clients} done, "
+              f"{clients - len(samples)} dropped"
+              + (f", errors {errors}" if errors else ""))
+
+
 def _cmd_smoke(args: argparse.Namespace) -> int:
     """End-to-end smoke: same request twice must hit the cache exactly."""
     body = {"cdfg": {"bench": "ewf"}, "length": 17, "seed": 1,
@@ -230,6 +221,8 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
               f"/metricsz reports a cache hit-rate ({hit_rate})")
         check(metrics["jobs"]["completed"] >= 1,
               "/metricsz counted the completed job")
+
+        _smoke_bursts(urls[0], check)
     finally:
         if server is not None:
             server.__exit__(None, None, None)
@@ -296,36 +289,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     status.add_argument("--timeout", type=float, default=600.0)
     status.set_defaults(func=_cmd_status)
 
-    bench = commands.add_parser(
-        "bench", help="concurrent throughput benchmark")
-    bench.add_argument("--url", default=None,
-                       help="target server (default: in-process)")
-    bench.add_argument("--clients", type=int, default=4)
-    bench.add_argument("--requests", type=int, default=6,
-                       help="requests per client")
-    bench.add_argument("--full", action="store_true",
-                       help="paper-scale search budgets (slow)")
-    bench.add_argument("--deadline-ms", type=int, default=None)
-    bench.add_argument("--workers", type=int, default=4,
-                       help="in-process server worker count")
-    bench.add_argument("--worker-mode", choices=("thread", "process"),
-                       default="process",
-                       help="in-process server worker mode")
-    bench.add_argument("--zoo", action="store_true",
-                       help="drive embedded scenario-zoo bodies instead "
-                            "of EWF/DCT mutants (honest cache misses)")
-    bench.add_argument("--zoo-families", default=None, metavar="NAMES",
-                       help="comma-separated zoo families for --zoo "
-                            "(default: all; implies --zoo)")
-    bench.add_argument("--saturation", default=None, metavar="LEVELS",
-                       help="comma-separated client counts for the "
-                            "offered-load sweep (e.g. 1,4,16,64,256)")
-    bench.add_argument("--json", default=None,
-                       help="also write the report to this file")
-    bench.set_defaults(func=_cmd_bench)
-
     smoke = commands.add_parser(
-        "smoke", help="CI end-to-end check (cache-hit identity)")
+        "smoke", help="CI end-to-end check (cache-hit identity, "
+                      "zero-drop bursts)")
     smoke.add_argument("--url", default=None,
                        help="existing server (default: in-process)")
     smoke.add_argument("--workers", type=int, default=2)

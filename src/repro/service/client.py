@@ -1,6 +1,6 @@
 """Minimal stdlib HTTP client for the allocation service.
 
-Wraps ``urllib.request`` so scripts, the CLI and the throughput benchmark
+Wraps ``urllib.request`` so scripts, the CLI and the smoke check
 talk to the server the same way.  Raises :class:`ServiceError` for any
 non-2xx response, carrying the decoded error payload.
 """

@@ -59,6 +59,16 @@ _BENCH_BUILDERS = {
     "ar": "ar_lattice",
 }
 
+#: most restarts one request may ask for.  Every restart is a search of
+#: the full budget, and ``prepare_jobs`` builds all of a request's
+#: restart jobs (and the job manager one pool future each) before the
+#: first search runs, so the count sets memory and queued work before
+#: any deadline can act.  The restart study (results/restart_variance.txt)
+#: needs 13 restarts on EWF at 19 steps for a 90% chance of coming within
+#: one cost unit of the best; 64 is about five times that.
+MAX_RESTARTS = 64
+
+
 class RequestError(ReproError):
     """A malformed or unsupported allocation request."""
 
@@ -282,20 +292,35 @@ def request_from_dict(data: Dict[str, Any]) -> AllocateRequest:
             raise RequestError(
                 f"bad length: {length} is over {serial}, the length of a "
                 f"fully serial schedule")
+    # make_registers builds one object per register as well, and every
+    # register move scans the whole file.  A legal binding never needs
+    # more than the schedule's lifetime minimum, which is at most one
+    # register per value; registers beyond it are headroom for value
+    # copies (R5) and segment hops.  The cap is fu_counts' ops + values,
+    # which leaves at least one spare register per op above any lifetime
+    # minimum (a zoo scenario grants its minimum plus one or two).
+    most = len(graph.ops) + len(graph.values)
     if registers is not None:
         registers = _integer("registers", registers, 1)
+        if registers > most:
+            raise RequestError(
+                f"bad registers: {registers} is over {most}, the ops plus "
+                f"values of the graph")
     fu_counts = data.get("fu_counts")
     if fu_counts is not None:
         if not isinstance(fu_counts, dict):
             raise RequestError("request 'fu_counts' must be an object")
         fu_counts = {str(k): _integer(f"fu_counts[{k!r}]", v, 1)
                      for k, v in fu_counts.items()}
-        most = len(graph.ops) + len(graph.values)
         for name, count in fu_counts.items():
             if count > most:
                 raise RequestError(
                     f"bad fu_counts[{name!r}]: {count} is over {most}, "
                     f"the ops plus values of the graph")
+    restarts = _integer("restarts", data.get("restarts", 1), 1)
+    if restarts > MAX_RESTARTS:
+        raise RequestError(f"bad restarts: {restarts} is over "
+                           f"{MAX_RESTARTS}")
     try:
         return AllocateRequest(
             graph=graph, spec=spec,
@@ -306,7 +331,7 @@ def request_from_dict(data: Dict[str, Any]) -> AllocateRequest:
             registers=registers,
             weights=weights,
             seed=_integer("seed", data.get("seed", 0), None),
-            restarts=_integer("restarts", data.get("restarts", 1), 1),
+            restarts=restarts,
             improve=_knobs(data, "improve"),
             anneal=_knobs(data, "anneal"),
             deadline_ms=data.get("deadline_ms"),

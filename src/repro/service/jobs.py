@@ -23,7 +23,7 @@ one of:
 * **cancelled** — every coalesced waiter gave up; nothing is returned or
   cached;
 * **failed** — a fatal error, or a retryable one that survived
-  ``max_attempts`` fresh-seed retries.
+  ``max_attempts`` attempts.
 
 Cancellation and deadlines reach a running restart through a picklable
 :class:`~repro.core.parallel.StopSignal` in both modes: the deadline is
@@ -43,10 +43,14 @@ Same-shape requests adjacent in the queue are claimed as one batch by a
 single orchestrator: they share a memoized schedule resolution and their
 restarts enter the executor as one dispatch wave.
 
-Retry policy rides on :mod:`repro.verify.classify`: a
-:class:`~repro.verify.sanitizer.SanitizerError` or worker-pool breakage
-gets a fresh seed (derived via :class:`repro.rng.SeedStream`, never
-reusing the failed trajectory); deterministic
+Retry policy rides on :mod:`repro.verify.classify`.  A transient fault
+(``OSError``, ``MemoryError``, a broken worker pool) is retried with the
+request's own seed, so the retry computes the answer a clean run would
+and that answer is cached under the exact key.  A
+:class:`~repro.verify.sanitizer.SanitizerError` is retried with a fresh
+seed (derived via :class:`repro.rng.SeedStream`, never reusing the failed
+trajectory); that answer is not the one the request's seed names, so,
+like a degraded one, it stays out of the exact-key cache.  Deterministic
 :class:`~repro.errors.ReproError`\\ s fail immediately.
 
 Warm starts: every successful job publishes its winning decision-state
@@ -84,7 +88,8 @@ from repro.rng import SeedStream
 from repro.sched.schedule import Schedule
 from repro.io.json_io import binding_to_dict, canonical_dumps
 from repro.verify.classify import is_retryable
-from repro.verify.sanitizer import decode_state, encode_state
+from repro.verify.sanitizer import SanitizerError, decode_state, \
+    encode_state
 from repro.analysis.stats import telemetry_report
 from repro.service.cache import TieredCache
 from repro.service.codec import (AllocateRequest, job_id_for, request_key,
@@ -261,7 +266,7 @@ class JobManager:
             "jobs_cancel_detached",
             "coalesced waiters that gave up while others kept waiting")
         self._retried = m.counter(
-            "jobs_retried", "fresh-seed retries after retryable failures")
+            "jobs_retried", "retries after retryable failures")
         self._degraded = m.counter(
             "jobs_degraded", "jobs that returned best-so-far on deadline")
         self._warm = m.counter(
@@ -560,13 +565,16 @@ class JobManager:
         # job with this id to its finish may have left one behind
         self._clear_stop(job)
         last_error: Optional[BaseException] = None
+        # the retry seed: 0 runs the request's own seed; only a sanitizer
+        # trip moves to a fresh one, since its fault is the trajectory
+        reseed = 0
         for attempt in range(self.max_attempts):
             if job.cancel_event.is_set():
                 self._finish(job, CANCELLED)
                 return
             job.attempts = attempt + 1
             try:
-                result = self._run_search(job, attempt)
+                result = self._run_search(job, reseed)
                 break
             except (KeyboardInterrupt, SystemExit):
                 raise
@@ -583,6 +591,8 @@ class JobManager:
                 if (is_retryable(exc) and attempt + 1 < self.max_attempts
                         and not out_of_time):
                     self._retried.inc()
+                    if isinstance(exc, SanitizerError):
+                        reseed = attempt + 1
                     continue
                 job.error = f"{type(exc).__name__}: {exc}"
                 job.error_kind = type(exc).__name__
@@ -602,10 +612,12 @@ class JobManager:
         if result["degraded"]:
             self._degraded.inc()
         if self.cache is not None and request.cache_ok:
-            # degraded/warm-started answers depend on the deadline or on
-            # whatever the warm store held — only full-fidelity results
-            # are publishable under the exact key
-            if not result["degraded"] and not result["warm_started"]:
+            # degraded/warm-started/reseeded answers depend on the
+            # deadline, on whatever the warm store held or on a seed the
+            # request did not name — only full-fidelity results are
+            # publishable under the exact key
+            if not (result["degraded"] or result["warm_started"]
+                    or reseed):
                 self.cache.put(job.key,
                                canonical_dumps(result).encode("utf-8"))
             # the warm store holds the snapshot _run_search left on the job
@@ -616,9 +628,9 @@ class JobManager:
 
     # ------------------------------------------------------------ the search
 
-    def _allocator(self, request: AllocateRequest, attempt: int):
-        seed = request.seed if attempt == 0 else \
-            SeedStream(request.seed).child(0xDEAD, attempt)
+    def _allocator(self, request: AllocateRequest, reseed: int):
+        seed = request.seed if reseed == 0 else \
+            SeedStream(request.seed).child(0xDEAD, reseed)
         config = ImproveConfig(**request.improve)
         if request.model == "traditional":
             return TraditionalAllocator(seed=seed, restarts=request.restarts,
@@ -675,9 +687,9 @@ class JobManager:
             while len(self._schedule_memo) > SCHEDULE_MEMO_SIZE:
                 self._schedule_memo.popitem(last=False)
 
-    def _run_search(self, job: Job, attempt: int) -> Dict[str, Any]:
+    def _run_search(self, job: Job, reseed: int) -> Dict[str, Any]:
         request = job.request
-        allocator = self._allocator(request, attempt)
+        allocator = self._allocator(request, reseed)
         schedule, restart_jobs = allocator.prepare_jobs(
             request.graph, schedule=self._memo_schedule(job.shape_key),
             spec=request.spec, length=request.length,

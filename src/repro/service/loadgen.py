@@ -1,102 +1,35 @@
-"""Concurrent load generation against the service (bench + smoke).
+"""Concurrent client traffic for the service smoke check.
 
-:func:`mutant_requests` builds a deterministic pool of EWF/DCT request
-mutants (schedule-length × seed × register-slack variations of the
-paper's two benchmarks — the BandMap-style design-space-point workload),
-with deliberate repeats so a run exercises the cache, not just the
-search.  :func:`run_throughput_bench` drives them from N concurrent
-client threads — against a remote URL or an in-process
-:class:`~repro.service.server.ServerThread` — and reports sustained
-allocations/sec, drop and error counts, latency percentiles (p50/p90/p99)
-and the server's ``/metricsz`` view of the same window.
-
-:func:`run_saturation_bench` sweeps *offered load*: the same request mix
-driven by an increasing number of concurrent clients (tens to hundreds —
-clients are cheap blocking threads), recording sustained throughput and
-the p50/p99 latency at each level.  The resulting curves are the
-service's saturation/tail-latency baseline committed under
-``results/service_throughput.json``.
+:func:`zoo_requests` builds a deterministic pool of embedded
+scenario-zoo request bodies, and :func:`_drive_clients` posts such a
+pool from N concurrent blocking client threads, one sample per request.
+``python -m repro.service smoke`` drives its fixed bursts through them.
+Throughput and latency are measured by the repository benchmark
+(``perfbench/``), not here.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List
 
 from repro.service.client import ServiceClient, ServiceError
 
-#: (bench, schedule length, extra registers) mutant axes; lengths follow
-#: the paper's design points (EWF 17/19/21, DCT 10/12)
-_EWF_LENGTHS = (17, 19, 21)
-_DCT_LENGTHS = (10, 12)
 
-
-def mutant_requests(count: int, fast: bool = True,
-                    deadline_ms: Optional[int] = None,
-                    seed_base: int = 0,
-                    use_cache: bool = True) -> List[Dict[str, Any]]:
-    """A deterministic pool of *count* EWF/DCT request-body mutants.
-
-    Roughly one request in three repeats an earlier mutant exactly
-    (same key), so a concurrent run measures both search throughput and
-    cache behaviour.  ``use_cache=False`` stamps every body with
-    ``"cache": false`` (and ``seed_base`` shifts the seed space), which
-    is how the saturation sweep keeps each request an honest search
-    instead of a replay of the previous load level.
-    """
-    budget = {"max_trials": 2, "moves_per_trial": 120} if fast else \
-        {"max_trials": 6, "moves_per_trial": 600}
-    pool: List[Dict[str, Any]] = []
-    variant = 0
-    while len(pool) < count:
-        # every third request re-issues an earlier one verbatim
-        if variant and variant % 3 == 2 and pool:
-            pool.append(dict(pool[(variant // 3) % len(pool)]))
-            variant += 1
-            continue
-        if variant % 2 == 0:
-            bench, length = "ewf", _EWF_LENGTHS[variant % len(_EWF_LENGTHS)]
-        else:
-            bench, length = "dct", _DCT_LENGTHS[variant % len(_DCT_LENGTHS)]
-        body: Dict[str, Any] = {
-            "cdfg": {"bench": bench},
-            "length": length,
-            "seed": seed_base + variant // 3,
-            "restarts": 1,
-            "improve": dict(budget),
-        }
-        if deadline_ms is not None:
-            body["deadline_ms"] = deadline_ms
-        if not use_cache:
-            body["cache"] = False
-        pool.append(body)
-        variant += 1
-    return pool[:count]
-
-
-def zoo_requests(count: int, families: Optional[Sequence[str]] = None,
-                 fast: bool = True, deadline_ms: Optional[int] = None,
-                 seed_base: int = 0,
+def zoo_requests(count: int, seed_base: int = 0,
                  use_cache: bool = True) -> List[Dict[str, Any]]:
     """A deterministic pool of *count* scenario-zoo request bodies.
 
-    Unlike :func:`mutant_requests` (two fixed benchmarks, so a warm run
-    quickly degenerates into cache hits), every zoo body embeds a full
-    CDFG + hardware-spec document built from a distinct
-    ``(family, seed)`` scenario — honest cache-*miss* traffic whose
-    decode, hash and search costs all land on the server.  Every third
-    request still repeats an earlier body verbatim so hit paths stay
-    covered.
+    Every body embeds a full CDFG + hardware-spec document built from a
+    distinct ``(family, seed)`` scenario, so its decode, hash and search
+    costs all land on the server.  Every third request repeats an earlier
+    body verbatim.  ``use_cache=False`` stamps every body with
+    ``"cache": false``, so each one is searched even when an earlier run
+    stored its answer.
     """
     from repro.bench.zoo import FAMILIES, Scenario
     from repro.io.json_io import cdfg_to_dict, spec_to_dict
-    names = sorted(families) if families else sorted(FAMILIES)
-    for name in names:
-        if name not in FAMILIES:
-            raise ValueError(f"unknown zoo family {name!r}")
-    budget = {"max_trials": 2, "moves_per_trial": 120} if fast else \
-        {"max_trials": 6, "moves_per_trial": 600}
+    names = sorted(FAMILIES)
     pool: List[Dict[str, Any]] = []
     variant = 0
     while len(pool) < count:
@@ -112,10 +45,8 @@ def zoo_requests(count: int, families: Optional[Sequence[str]] = None,
             "spec": spec_to_dict(scenario.spec()),
             "seed": seed_base + variant,
             "restarts": 1,
-            "improve": dict(budget),
+            "improve": {"max_trials": 2, "moves_per_trial": 120},
         }
-        if deadline_ms is not None:
-            body["deadline_ms"] = deadline_ms
         if not use_cache:
             body["cache"] = False
         pool.append(body)
@@ -123,198 +54,34 @@ def zoo_requests(count: int, families: Optional[Sequence[str]] = None,
     return pool[:count]
 
 
-def _drive_clients(url: str, pool: List[Dict[str, Any]], clients: int,
-                   requests_per_client: int) \
-        -> Dict[str, Any]:
-    """Issue the pooled bodies from N concurrent blocking clients."""
+def _drive_clients(url: str, pool: List[Dict[str, Any]],
+                   clients: int) -> List[Dict[str, Any]]:
+    """Post *pool* from *clients* concurrent blocking clients.
+
+    Client ``i`` posts ``pool[i::clients]`` in order.  One sample per
+    answered request, ``{"ok", "status"}`` plus ``"error"`` when the
+    request failed; a request whose client thread died leaves no sample,
+    so ``len(pool) - len(samples)`` counts the drops.
+    """
     lock = threading.Lock()
     samples: List[Dict[str, Any]] = []
 
-    def drive(worker_index: int) -> None:
-        for slot in range(requests_per_client):
-            body = pool[worker_index * requests_per_client + slot]
-            issued = time.perf_counter()
-            sample: Dict[str, Any] = {"client": worker_index}
+    def drive(index: int) -> None:
+        for body in pool[index::clients]:
+            sample: Dict[str, Any]
             try:
-                response = ServiceClient(url).allocate(body)
-                sample.update({
-                    "ok": response.get("status") == "done",
-                    "status": response.get("status"),
-                    "cached": bool(response.get("cached")),
-                    "degraded": bool(response.get("degraded")),
-                    "cost": response.get("result", {})
-                    .get("cost", {}).get("total"),
-                })
+                status = ServiceClient(url).allocate(body).get("status")
+                sample = {"ok": status == "done", "status": status}
             except (ServiceError, OSError) as exc:
-                sample.update({"ok": False, "status": "error",
-                               "error": str(exc), "cached": False,
-                               "degraded": False})
-            sample["seconds"] = time.perf_counter() - issued
+                sample = {"ok": False, "status": "error", "error": str(exc)}
             with lock:
                 samples.append(sample)
 
     threads = [threading.Thread(target=drive, args=(index,),
-                                name=f"bench-client-{index}")
+                                name=f"smoke-client-{index}")
                for index in range(clients)]
-    wall_started = time.perf_counter()
     for thread in threads:
         thread.start()
     for thread in threads:
         thread.join()
-    return {"samples": samples,
-            "wall_seconds": time.perf_counter() - wall_started}
-
-
-def _percentile(ordered: List[float], q: float) -> Optional[float]:
-    if not ordered:
-        return None
-    index = min(len(ordered) - 1, round(q / 100 * (len(ordered) - 1)))
-    return ordered[index]
-
-
-def run_throughput_bench(url: Optional[str] = None, clients: int = 4,
-                         requests_per_client: int = 6, fast: bool = True,
-                         server_workers: int = 4,
-                         deadline_ms: Optional[int] = None,
-                         worker_mode: str = "thread",
-                         use_cache: bool = True,
-                         seed_base: int = 0,
-                         zoo: bool = False,
-                         zoo_families: Optional[Sequence[str]] = None) \
-        -> Dict[str, Any]:
-    """Drive N concurrent clients; returns the JSON-able bench report.
-
-    ``zoo=True`` swaps the EWF/DCT mutant pool for embedded scenario-zoo
-    bodies (:func:`zoo_requests`), optionally restricted to
-    *zoo_families*.
-    """
-    own_server = None
-    if url is None:
-        from repro.service.server import ServerThread
-        own_server = ServerThread(workers=server_workers,
-                                  queue_limit=max(64, clients * 8),
-                                  persistent_cache=False,
-                                  worker_mode=worker_mode)
-        url = own_server.__enter__()
-    try:
-        client = ServiceClient(url)
-        health = client.wait_until_healthy()
-        total = clients * requests_per_client
-        if zoo:
-            pool = zoo_requests(total, families=zoo_families, fast=fast,
-                                deadline_ms=deadline_ms,
-                                seed_base=seed_base, use_cache=use_cache)
-        else:
-            pool = mutant_requests(total, fast=fast,
-                                   deadline_ms=deadline_ms,
-                                   seed_base=seed_base,
-                                   use_cache=use_cache)
-        driven = _drive_clients(url, pool, clients, requests_per_client)
-        samples = driven["samples"]
-        wall = driven["wall_seconds"]
-
-        metrics = client.metricsz(condensed=True)
-        raw = client.metricsz()
-        completed = [s for s in samples if s["ok"]]
-        latencies = sorted(s["seconds"] for s in samples)
-
-        report = {
-            "workload": {
-                "clients": clients,
-                "requests_per_client": requests_per_client,
-                "total_requests": total,
-                "fast_mode": fast,
-                "deadline_ms": deadline_ms,
-                "use_cache": use_cache,
-                "worker_mode": health.get("worker_mode", worker_mode),
-                "server_workers": health.get("workers", server_workers),
-                "benches": sorted({body["cdfg"].get("bench",
-                                                    body["cdfg"].get("name",
-                                                                     "?"))
-                                   for body in pool}),
-            },
-            "outcome": {
-                "completed": len(completed),
-                "dropped": total - len(samples),
-                "errors": sum(1 for s in samples if not s["ok"]),
-                "cache_hits": sum(1 for s in samples if s.get("cached")),
-                "degraded": sum(1 for s in samples if s.get("degraded")),
-            },
-            "throughput": {
-                "wall_seconds": wall,
-                "allocations_per_sec": len(completed) / wall if wall else 0,
-                "client_latency_p50_s": _percentile(latencies, 50),
-                "client_latency_p90_s": _percentile(latencies, 90),
-                "client_latency_p99_s": _percentile(latencies, 99),
-                "client_latency_max_s": latencies[-1] if latencies else None,
-            },
-            "server": {
-                "cache_hit_rate": metrics["cache"]["hit_rate"],
-                "jobs": metrics["jobs"],
-                "latency": metrics["latency"],
-                "queue_depth_final": raw.get("queue_depth", {}).get("value"),
-            },
-        }
-        return report
-    finally:
-        if own_server is not None:
-            own_server.__exit__(None, None, None)
-
-
-def run_saturation_bench(levels: Sequence[int] = (1, 2, 4, 8, 16),
-                         requests_per_client: int = 2, fast: bool = True,
-                         server_workers: int = 4,
-                         worker_mode: str = "process",
-                         url: Optional[str] = None) -> Dict[str, Any]:
-    """Offered-load sweep: p50/p99 latency and throughput per level.
-
-    Each level drives ``level`` concurrent clients (levels of hundreds
-    are fine — a client is one blocking thread) through a
-    cache-bypassing request mix (``"cache": false``, fresh seed space per
-    level), so every request costs a real search and the curve shows
-    where the worker pool saturates rather than how warm the cache is.
-    """
-    own_server = None
-    if url is None:
-        from repro.service.server import ServerThread
-        own_server = ServerThread(workers=server_workers,
-                                  queue_limit=max(64, max(levels) *
-                                                  requests_per_client * 2),
-                                  persistent_cache=False,
-                                  worker_mode=worker_mode)
-        url = own_server.__enter__()
-    try:
-        client = ServiceClient(url)
-        health = client.wait_until_healthy()
-        curve: List[Dict[str, Any]] = []
-        for index, level in enumerate(levels):
-            total = level * requests_per_client
-            pool = mutant_requests(total, fast=fast, use_cache=False,
-                                   seed_base=1000 * (index + 1))
-            driven = _drive_clients(url, pool, level, requests_per_client)
-            samples = driven["samples"]
-            wall = driven["wall_seconds"]
-            ok = [s for s in samples if s["ok"]]
-            latencies = sorted(s["seconds"] for s in samples)
-            curve.append({
-                "offered_clients": level,
-                "total_requests": total,
-                "completed": len(ok),
-                "dropped": total - len(samples),
-                "errors": sum(1 for s in samples if not s["ok"]),
-                "wall_seconds": wall,
-                "allocations_per_sec": len(ok) / wall if wall else 0.0,
-                "latency_p50_s": _percentile(latencies, 50),
-                "latency_p99_s": _percentile(latencies, 99),
-                "latency_max_s": latencies[-1] if latencies else None,
-            })
-        return {
-            "worker_mode": health.get("worker_mode", worker_mode),
-            "server_workers": health.get("workers", server_workers),
-            "requests_per_client": requests_per_client,
-            "fast_mode": fast,
-            "levels": curve,
-        }
-    finally:
-        if own_server is not None:
-            own_server.__exit__(None, None, None)
+    return samples

@@ -31,7 +31,7 @@ from urllib.parse import parse_qs, urlparse
 
 from repro.service.cache import (DEFAULT_MEMORY_BUDGET, TieredCache)
 from repro.service.codec import RequestError, request_from_dict
-from repro.service.jobs import (DONE, FAILED, CANCELLED, JobManager,
+from repro.service.jobs import (DONE, FAILED, CANCELLED, Job, JobManager,
                                 JobNotFoundError, QueueFullError)
 from repro.service.metrics import MetricsRegistry
 from repro.analysis.stats import service_report
@@ -103,11 +103,17 @@ class AllocationService:
             return 202, {"job_id": job.id, "status": job.status,
                          "cached": False}
         job.wait(self.sync_wait_s)
-        return self.job_status(job.id)
+        # answer with the job this request waited on, not a lookup by id:
+        # an identical request submitted once it finished with nothing
+        # cached (cache bypassed, degraded) takes over the id
+        return self._status_of(job)
 
     def job_status(self, job_id: str) -> Tuple[int, Dict[str, Any]]:
         self.metrics.counter("requests_jobs", "GET /jobs requests").inc()
-        job = self.jobs.get(job_id)  # raises JobNotFoundError -> 404
+        # raises JobNotFoundError -> 404
+        return self._status_of(self.jobs.get(job_id))
+
+    def _status_of(self, job: Job) -> Tuple[int, Dict[str, Any]]:
         payload: Dict[str, Any] = dict(job.describe())
         payload["cached"] = False
         if job.status == DONE:
@@ -255,6 +261,14 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(404, {"error": f"no DELETE route {path!r}"})
 
 
+class _Server(ThreadingHTTPServer):
+    #: listen backlog.  The stdlib's 5 overflows when a burst of clients
+    #: connects while the accept thread waits for the interpreter lock;
+    #: the kernel then answers with SYN cookies, and a connection whose
+    #: cookie fails is reset mid-request.
+    request_queue_size = 128
+
+
 def make_server(host: str = "127.0.0.1", port: int = 8977,
                 service: Optional[AllocationService] = None,
                 **service_kwargs: Any) \
@@ -267,7 +281,7 @@ def make_server(host: str = "127.0.0.1", port: int = 8977,
         pass
 
     BoundHandler.service = svc
-    server = ThreadingHTTPServer((host, port), BoundHandler)
+    server = _Server((host, port), BoundHandler)
     return server, svc
 
 
@@ -291,8 +305,7 @@ def serve_forever(host: str = "127.0.0.1", port: int = 8977,
 class ServerThread:
     """A server on an ephemeral port running in a daemon thread.
 
-    The in-process harness used by tests, the throughput benchmark and the
-    CI smoke check::
+    The in-process harness used by tests and the CI smoke check::
 
         with ServerThread() as url:
             ...  # drive url with urllib / ServiceClient

@@ -267,10 +267,3 @@ def test_zoo_requests_embed_distinct_graphs():
     assert pool == zoo_requests(8, seed_base=1)
     encoded = [json.dumps(body, sort_keys=True) for body in pool]
     assert len(set(encoded)) < len(encoded)
-
-
-def test_zoo_requests_rejects_unknown_family():
-    from repro.service.loadgen import zoo_requests
-
-    with pytest.raises(ValueError):
-        zoo_requests(2, families=["nonesuch"])

@@ -7,11 +7,15 @@ import json
 import pytest
 
 from repro.bench import elliptic_wave_filter
+from repro.bench.runner import asap_length
+from repro.bench.zoo import FAMILIES, Scenario
 from repro.datapath.units import HardwareSpec
-from repro.io.json_io import cdfg_to_json
-from repro.service.codec import (AllocateRequest, RequestError,
-                                 cache_key_payload, job_id_for,
-                                 request_from_dict, request_key, warm_key)
+from repro.io.json_io import cdfg_to_dict, cdfg_to_json, spec_to_dict
+from repro.sched import schedule_graph
+from repro.service.codec import (MAX_RESTARTS, AllocateRequest,
+                                 RequestError, cache_key_payload,
+                                 job_id_for, request_from_dict, request_key,
+                                 warm_key)
 
 
 def make_request(**overrides):
@@ -286,6 +290,30 @@ class TestSchedulingFields:
             with pytest.raises(RequestError, match="bad fu_counts"):
                 make_request(fu_counts={"adder": 3, "mult": value})
 
+    def test_registers_over_ops_plus_values_rejected(self):
+        # make_registers built one object per register
+        graph = elliptic_wave_filter()
+        most = len(graph.ops) + len(graph.values)
+        assert make_request(registers=most).registers == most
+        for value in (most + 1, 10 ** 9):
+            with pytest.raises(RequestError, match="bad registers"):
+                make_request(registers=value)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_register_cap_admits_the_zoo(self, family):
+        # the registers the zoo sweep grants each family's scenario
+        scenario = Scenario.make(family)
+        graph, spec = scenario.build(), scenario.spec()
+        definition = scenario.definition
+        schedule = schedule_graph(
+            graph, spec,
+            length=asap_length(graph, spec) + definition.length_slack)
+        registers = schedule.min_registers() + definition.extra_registers
+        request = request_from_dict({"cdfg": cdfg_to_dict(graph),
+                                     "spec": spec_to_dict(spec),
+                                     "registers": registers})
+        assert request.registers == registers
+
     def test_fu_counts_must_be_an_object(self):
         with pytest.raises(RequestError, match="fu_counts"):
             make_request(fu_counts=[3, 3])
@@ -299,3 +327,11 @@ class TestSchedulingFields:
         payload = cache_key_payload(request)
         assert payload["length"] == 17 and payload["registers"] == 12
         assert payload["fu_counts"] == {"adder": 2, "mult": 3}
+
+
+def test_restarts_over_the_cap_rejected():
+    # prepare_jobs built one restart job per restart before any search
+    assert make_request(restarts=MAX_RESTARTS).restarts == MAX_RESTARTS
+    for value in (MAX_RESTARTS + 1, 10 ** 9):
+        with pytest.raises(RequestError, match="bad restarts"):
+            make_request(restarts=value)

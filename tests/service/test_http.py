@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import http.client
 import json
+import threading
 
 import pytest
 
+from repro.errors import ReproError
 from repro.service.client import ServiceClient, ServiceError
+from repro.service.jobs import JobManager
 from repro.service.server import ServerThread
 
 FAST_BODY = {"cdfg": {"bench": "ewf"}, "length": 17, "seed": 2,
@@ -243,9 +246,71 @@ def test_cancel_unknown_job_is_404(service_url):
     assert excinfo.value.status == 404
 
 
+def test_sync_reply_is_the_job_it_waited_on(monkeypatch):
+    """Regression: the synchronous reply was looked up by job id after
+    the wait, so an identical uncached request submitted once the job
+    had finished took over the id, and the first client got its 202."""
+    from repro.service.jobs import Job
+    from repro.service.server import AllocationService
+    service = AllocationService(workers=1, persistent_cache=False)
+    body = dict(FAST_BODY, cache=False)
+    wait = Job.wait
+    resubmitted = []
+
+    def wait_then_resubmit(self, timeout=None):
+        finished = wait(self, timeout)
+        if not resubmitted:
+            resubmitted.append(service.allocate(dict(body, **{"async": True})))
+        return finished
+
+    monkeypatch.setattr(Job, "wait", wait_then_resubmit)
+    try:
+        status, payload = service.allocate(body)
+    finally:
+        service.close()
+    assert resubmitted[0][0] == 202
+    assert status == 200
+    assert payload["status"] == "done" and "result" in payload
+
+
+def test_listen_backlog_holds_the_largest_smoke_burst():
+    """Regression: with the stdlib backlog of 5, a 32-client burst
+    overflowed the accept queue, and a few connections were reset."""
+    from repro.service.__main__ import BURST_CLIENTS
+    harness = ServerThread(workers=1, persistent_cache=False)
+    with harness:
+        assert harness.server.request_queue_size >= max(BURST_CLIENTS)
+
+
 def test_cli_smoke_command_passes():
     from repro.service.__main__ import main
     assert main(["smoke"]) == 0
+
+
+@pytest.mark.parametrize("mode", ["thread", "process"])
+def test_cli_smoke_fails_on_one_failed_burst_request(mode, monkeypatch,
+                                                      capsys):
+    from repro.service.__main__ import main
+    search = JobManager._run_search
+    lock = threading.Lock()
+    failed = []
+
+    def fail_first_burst_request(self, job, reseed):
+        # burst bodies are the only ones that bypass the cache
+        with lock:
+            fail = not job.request.cache_ok and not failed
+            if fail:
+                failed.append(job.id)
+        if fail:
+            raise ReproError("injected burst failure")
+        return search(self, job, reseed)
+
+    monkeypatch.setattr(JobManager, "_run_search", fail_first_burst_request)
+    assert main(["smoke", "--worker-mode", mode]) == 1
+    out = capsys.readouterr().out
+    assert len(failed) == 1
+    assert "FAIL: burst of 2 clients: 1/2 done" in out
+    assert "smoke FAILED (1 checks)" in out
 
 
 class _CountingWriter:

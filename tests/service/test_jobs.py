@@ -218,7 +218,7 @@ def test_name_keyed_warm_snapshot_is_a_cold_start(manager_setup):
 
 
 def test_retryable_failure_gets_a_fresh_seed(manager_setup):
-    manager, _, metrics = manager_setup
+    manager, cache, metrics = manager_setup
     real = manager._run_search
     calls = []
 
@@ -235,6 +235,44 @@ def test_retryable_failure_gets_a_fresh_seed(manager_setup):
     assert job.attempts == 2
     assert calls == [0, 1]
     assert metrics.counter("jobs_retried").value == 1
+    # the fresh seed's answer is not the one the request names
+    assert cache.get(request_key(fast_request())) is None
+
+
+def test_transient_failure_retries_with_the_request_seed():
+    """An OSError retry caches the same answer a clean run computes."""
+    body = {"cdfg": {"bench": "ewf"}, "length": 17, "seed": 5,
+            "improve": {"max_trials": 3, "moves_per_trial": 400}}
+    clean = JobManager(cache=None, workers=1)
+    try:
+        job, _ = clean.submit(request_from_dict(body))
+        assert job.wait(120) and job.status == DONE
+        expected = job.result["binding"]
+    finally:
+        clean.shutdown()
+
+    manager, cache, metrics = make_manager(workers=1)
+    try:
+        real = manager._run_search
+        calls = []
+
+        def flaky(job, reseed):
+            calls.append(reseed)
+            if len(calls) == 1:
+                raise OSError("injected transient fault")
+            return real(job, reseed)
+
+        manager._run_search = flaky
+        request = request_from_dict(body)
+        job, _ = manager.submit(request)
+        assert job.wait(120)
+        assert job.status == DONE and job.attempts == 2
+        assert metrics.counter("jobs_retried").value == 1
+        stored = cache.get(request_key(request))
+        assert stored is not None
+        assert json.loads(stored.decode("utf-8"))["binding"] == expected
+    finally:
+        manager.shutdown()
 
 
 def test_fatal_error_fails_without_retry(manager_setup):

@@ -4,9 +4,14 @@ deadlines, and the shared disk tier observed from two manager instances.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import os
 import pickle
+import signal
+import subprocess
+import sys
 import time
 
 import pytest
@@ -14,7 +19,7 @@ import pytest
 from repro.alloc.checker import check_binding
 from repro.io.json_io import binding_from_json, canonical_dumps
 from repro.core.parallel import (StopSignal, _fork_context,
-                                 is_process_safe_callback)
+                                 is_process_safe_callback, run_restart)
 from repro.service.cache import DiskCache, MemoryLRUCache, TieredCache
 from repro.service.codec import request_from_dict, request_key
 from repro.service.jobs import (CANCELLED, DONE, PROCESS_MODE, THREAD_MODE,
@@ -189,6 +194,129 @@ def test_shared_disk_tier_across_two_managers(tmp_path):
         assert metrics.counter("jobs_submitted").value == 0  # no search ran
     finally:
         second.shutdown()
+
+
+def _stall_first_restart(marker_dir, job):
+    """``run_restart`` for the worker-death test: the first call writes
+    its pid to ``marker_dir/pid`` and blocks until the test kills its
+    process; every later call runs the real restart."""
+    try:
+        os.close(os.open(os.path.join(marker_dir, "claimed"),
+                         os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+    except FileExistsError:
+        return run_restart(job)
+    staging = os.path.join(marker_dir, "pid.tmp")
+    with open(staging, "w") as handle:
+        handle.write(str(os.getpid()))
+    os.rename(staging, os.path.join(marker_dir, "pid"))
+    time.sleep(300)
+    return run_restart(job)
+
+
+@needs_fork
+def test_process_mode_worker_death_retries_on_a_fresh_pool(tmp_path,
+                                                           monkeypatch):
+    """SIGKILL the pool worker running a job: the broken pool is
+    discarded, the job is retried on a new one, and the reply is the
+    binding a clean run computes."""
+    import repro.service.jobs as jobs_mod
+    # a budget large enough that another seed ends on another binding
+    request = fast_request(improve={"max_trials": 3,
+                                    "moves_per_trial": 400})
+    clean = JobManager(cache=None, workers=1)
+    try:
+        job, _ = clean.submit(request)
+        assert job.wait(120) and job.status == DONE
+        expected = canonical_dumps(job.result["binding"])
+    finally:
+        clean.shutdown()
+
+    monkeypatch.setattr(jobs_mod, "run_restart", functools.partial(
+        _stall_first_restart, str(tmp_path)))
+    manager, _, metrics = make_process_manager(workers=1)
+    discarded = []
+    discard = manager._discard_pool
+
+    def spying_discard(pool):
+        discarded.append(pool)
+        discard(pool)
+
+    manager._discard_pool = spying_discard
+    try:
+        job, _ = manager.submit(request)
+        pid_path = tmp_path / "pid"
+        deadline = time.monotonic() + 60
+        while not pid_path.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        pid = int(pid_path.read_text())
+        first_pool = manager._pool
+        # only ever kill a worker of the pool this test started
+        assert pid in first_pool._processes
+        os.kill(pid, signal.SIGKILL)
+
+        assert job.wait(180)
+        assert job.status == DONE
+        assert job.attempts == 2
+        assert metrics.counter("jobs_retried").value == 1
+        assert discarded == [first_pool]
+        assert manager._pool is not None and manager._pool is not first_pool
+        binding = binding_from_json(json.dumps(job.result["binding"]))
+        assert check_binding(binding) == []
+        assert canonical_dumps(job.result["binding"]) == expected
+    finally:
+        manager.shutdown()
+
+
+def _children(pid):
+    """Pids whose parent is *pid*, read from ``/proc``."""
+    found = []
+    for entry in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{entry}/stat", encoding="utf-8") as handle:
+                stat = handle.read()
+        except (OSError, ValueError):
+            continue
+        # the fields after the parenthesized command: state, ppid, ...
+        if int(stat.rsplit(")", 1)[1].split()[1]) == pid:
+            found.append(int(entry))
+    return found
+
+
+@needs_fork
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_sigterm_shuts_the_served_pool_down():
+    """Regression: SIGTERM killed ``python -m repro.service serve`` outright
+    and left its forked pool workers running, orphaned."""
+    import repro
+    from repro.service.__main__ import _free_port
+    from repro.service.client import ServiceClient
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    port = _free_port()
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.service", "serve", "--port", str(port),
+         "--workers", "2", "--worker-mode", "process", "--no-disk-cache"],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    workers = []
+    try:
+        client = ServiceClient(f"http://127.0.0.1:{port}")
+        client.wait_until_healthy(timeout=60)
+        body = {"cdfg": {"bench": "ewf"}, "length": 17, "seed": 5,
+                "improve": dict(FAST_BUDGET)}
+        assert client.allocate(body)["status"] == "done"  # forks the pool
+        workers = _children(proc.pid)
+        assert len(workers) == 2
+        proc.terminate()
+        assert proc.wait(timeout=60) == 0
+        assert not [pid for pid in workers
+                    if os.path.exists(f"/proc/{pid}")]
+    finally:
+        for pid in [proc.pid] + workers:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except OSError:
+                pass
+        proc.wait(timeout=60)
 
 
 # --------------------------------------------- engine × mode equivalence
