@@ -1127,10 +1127,42 @@ class Binding:
 
     def duplicate(self) -> "Binding":
         """A fresh, independent Binding with the same decisions."""
-        twin = Binding(self.schedule, list(self.fus.values()),
-                       list(self.regs.values()), weights=self.weights)
-        twin.restore_state(self.clone_state())
-        return twin
+        return Binding.from_state(self.schedule, list(self.fus.values()),
+                                  list(self.regs.values()),
+                                  self.clone_state(), self.weights)
+
+    @classmethod
+    def from_state(cls, schedule: Schedule, fus: Sequence[FU],
+                   registers: Sequence[Register], state: Mapping,
+                   weights: CostWeights) -> "Binding":
+        """A fresh binding holding the decisions of *state*.
+
+        *state* is any name-keyed snapshot: a :meth:`clone_state` of any
+        binding (pickled or not), a decoded
+        :func:`~repro.verify.sanitizer.decode_state` dict, or the
+        sections :func:`~repro.io.json_io.binding_from_json` parses.  Its
+        six sections are written through the primitives in snapshot
+        order — ``op_fu``, ``placements``, ``op_swap``, ``read_src``,
+        ``out_src``, ``pt_impl`` — and then flushed, so every derived
+        datum is re-derived from the decisions alone (the property the
+        sanitizer's shadow rebuild relies on) and ``placements``
+        iterates, and ticks, in snapshot order.
+        """
+        binding = cls(schedule, fus, registers, weights=weights)
+        for op_name, fu in state["op_fu"].items():
+            binding.set_op_fu(op_name, fu)
+        for (value, step), regs in state["placements"].items():
+            binding.set_placements(value, step, regs)
+        for op_name, flag in state["op_swap"].items():
+            binding.set_op_swap(op_name, flag)
+        for (op_name, port), reg in state["read_src"].items():
+            binding.set_read_src(op_name, port, reg)
+        for value, reg in state["out_src"].items():
+            binding.set_out_src(value, reg)
+        for (value, step, reg), impl in state["pt_impl"].items():
+            binding.set_pt(value, step, reg, tuple(impl))
+        binding.flush()
+        return binding
 
     def clone_state(self) -> BindingState:
         """Snapshot of the decision state (for best-so-far).
@@ -1164,40 +1196,33 @@ class Binding:
             "pt_impl": dict(sorted(self.pt_impl.items())),
         }, derived, self._token)
 
-    def restore_state(self, state: Mapping) -> None:
-        """Restore a snapshot taken with :meth:`clone_state`.
-
-        A :class:`~repro.core.snapshot.BindingState` cloned by **this**
-        binding, restored outside a journal bracket, takes the fast path
-        (:meth:`_restore_fast`): dict diffs plus a bulk copy of the
-        clone-time derived state — no site is re-derived.  Anything else
-        — a plain name-keyed dict, or a snapshot from another binding or
-        through pickle (the sanitizer's shadow rebuild, ``duplicate``, a
-        decoded warm start) — goes through :meth:`_restore_mapping`, which
-        mutates via the primitives and re-derives the dirty sites, keeping
-        the shadow-rebuild oracle independent of this binding's derived
-        state.  Both paths leave the same ``placements`` order and ticks
-        (DESIGN.md §3.3), and so the same search trajectories.
-        """
-        if (isinstance(state, BindingState) and state.owner is self._token
-                and self._raw_journal is None):
-            self._restore_fast(state)
-        else:
-            self._restore_mapping(state)
-
-    def _restore_fast(self, state: BindingState) -> None:
-        """Same-binding diff-replay restore.
+    def restore_state(self, state: BindingState) -> None:
+        """Return to a snapshot this binding took with :meth:`clone_state`.
 
         Each decision dict is compared with its snapshot copy, and only a
         differing one is touched.  In ``placements`` every differing key
         is popped and the snapshot's are re-inserted in snapshot (tick)
-        order with fresh ticks — the order and ticks the primitives path
-        leaves (unchanged keys in live order, then the restored keys).
-        The other dicts are patched in place (:func:`_replay`), and the
+        order with fresh ticks, so unchanged keys keep their live order
+        and the restored keys follow them (DESIGN.md §3.3).  The other
+        dicts are patched in place (:func:`_replay`), and the
         pass-through table is replaced by the snapshot's sorted copy.
         Derived state is then bulk-copied from the clone-time
         :class:`DerivedSnapshot` instead of re-derived.
+
+        Any other snapshot — a plain dict, a pickled or decoded copy,
+        another binding's clone — raises :class:`BindingError`; load it
+        into a fresh binding with :meth:`from_state`.  So does a restore
+        inside an open :meth:`begin_move` bracket, which the journal
+        could not revert.
         """
+        if not isinstance(state, BindingState) \
+                or state.owner is not self._token:
+            raise BindingError(
+                "restore_state takes only a snapshot this binding cloned; "
+                "load any other with Binding.from_state")
+        if self._raw_journal is not None:
+            raise BindingError(
+                "restore_state inside an open begin_move bracket")
         if self._dirty:
             self.flush()
         changed = False
@@ -1249,73 +1274,6 @@ class Binding:
         self.ledger.restore(derived.ledger)
         if xfer_dirty:
             self._xfer_cache = None
-
-    def _restore_mapping(self, state: Mapping) -> None:
-        """Restore a name-keyed snapshot through the primitives.
-
-        Diff-based: only keys whose value differs between the live state
-        and the snapshot are touched, so restoring a near-identical state
-        costs proportional to the drift, not to the binding size.  All
-        mutation goes through the primitives, so the derived state is
-        re-derived incrementally and independently of the snapshot's
-        origin — the property the sanitizer's shadow rebuild relies on.
-
-        Clear-then-set ordering keeps every intermediate state legal:
-        stale pass-throughs are dropped first (they pin FU tokens and
-        reference placements), then differing placements and FU bindings
-        are vacated before the snapshot's values are written, and the
-        snapshot's pass-throughs are re-bound last, once the placements
-        they validate against are in place.
-        """
-        op_fu: Dict[str, Optional[str]] = state["op_fu"]  # type: ignore
-        placements: Dict[Tuple[str, int], Tuple[str, ...]] = \
-            state["placements"]                           # type: ignore
-        op_swap: Dict[str, bool] = state["op_swap"]       # type: ignore
-        read_src: Dict[Tuple[str, int], str] = state["read_src"]  # type: ignore
-        out_src: Dict[str, str] = state["out_src"]        # type: ignore
-        pt_impl: Dict[Tuple[str, int, str], PtImpl] = \
-            state["pt_impl"]                              # type: ignore
-
-        # 1. drop pass-throughs that the snapshot lacks or implements
-        #    differently (frees their FU tokens and placement references)
-        for key, impl in list(self.pt_impl.items()):
-            if pt_impl.get(key) != impl:
-                self.set_pt(key[0], key[1], key[2], None)
-        # 2. vacate placements and FU bindings that differ, so the set
-        #    phase below never collides with a stale occupant
-        for key, regs in list(self.placements.items()):
-            if placements.get(key) != regs:
-                self.set_placements(key[0], key[1], ())
-        for op_name, fu in list(self.op_fu.items()):
-            if op_fu.get(op_name) != fu:
-                self.set_op_fu(op_name, None)
-        # 3. write the snapshot's decisions (no-ops for unchanged keys)
-        for op_name, fu in op_fu.items():
-            if self.op_fu.get(op_name) != fu:
-                self.set_op_fu(op_name, fu)
-        for (value, step), regs in placements.items():
-            if self.placements.get((value, step), ()) != tuple(regs):
-                self.set_placements(value, step, regs)
-        for op_name in list(self.op_swap):
-            if op_name not in op_swap:
-                self.set_op_swap(op_name, False)
-        for op_name, flag in op_swap.items():
-            self.set_op_swap(op_name, flag)
-        for (op_name, port) in list(self.read_src):
-            if (op_name, port) not in read_src:
-                self.set_read_src(op_name, port, None)
-        for (op_name, port), reg in read_src.items():
-            self.set_read_src(op_name, port, reg)
-        for value in list(self.out_src):
-            if value not in out_src:
-                self.set_out_src(value, None)
-        for value, reg in out_src.items():
-            self.set_out_src(value, reg)
-        # 4. re-bind the snapshot's pass-throughs against final placements
-        for key, impl in pt_impl.items():
-            if self.pt_impl.get(key) != tuple(impl):
-                self.set_pt(key[0], key[1], key[2], tuple(impl))
-        self.flush()
 
 
 def _replay(live: Dict, snap: Mapping) -> bool:

@@ -129,12 +129,12 @@ class RestartJob:
     weights: CostWeights = CostWeights()
     allow_split: bool = True
     #: optional decision-state snapshot (``Binding.clone_state`` or a
-    #: decoded ``encode_state`` dict) restored on top of the constructive
-    #: initial allocation before the first improvement pass — the
-    #: warm-start seam used by ``repro.service`` to reuse a cached
-    #: allocation of the same problem shape.  A
-    #: :class:`~repro.core.snapshot.BindingState` pickles as its six
-    #: decision dicts, without its derived state.
+    #: decoded ``encode_state`` dict) the restart starts from instead of
+    #: the constructive initial allocation, loaded with
+    #: :meth:`Binding.from_state` — the warm-start seam used by
+    #: ``repro.service`` to reuse a cached allocation of the same problem
+    #: shape.  A :class:`~repro.core.snapshot.BindingState` pickles as its
+    #: six decision dicts, without its derived state.
     warm_state: Optional[Mapping[str, object]] = None
 
 
@@ -161,22 +161,16 @@ class RestartOutcome:
 def run_restart(job: RestartJob) -> RestartOutcome:
     """Execute one restart job (used directly and as the pool worker)."""
     started = time.perf_counter()
-    binding = initial_allocation(job.schedule, list(job.fus),
-                                 list(job.regs), weights=job.weights,
-                                 allow_split=job.allow_split)
-    warm_restore_ns = 0
-    if job.warm_state is not None:
-        tick = time.perf_counter_ns()
-        binding.restore_state(job.warm_state)
-        warm_restore_ns = time.perf_counter_ns() - tick
+    if job.warm_state is None:
+        binding = initial_allocation(job.schedule, list(job.fus),
+                                     list(job.regs), weights=job.weights,
+                                     allow_split=job.allow_split)
+    else:
+        binding = Binding.from_state(job.schedule, list(job.fus),
+                                     list(job.regs), job.warm_state,
+                                     job.weights)
     stats = [anneal(binding, config) if isinstance(config, AnnealConfig)
              else improve(binding, config) for config in job.configs]
-    if warm_restore_ns and stats and \
-            getattr(job.configs[0], "profile_every", 0):
-        # the warm-start restore happens outside improve()'s own sampling
-        # window; fold it into the first pass so phase reports see every
-        # restore the restart performed (anneal() samples no phases)
-        stats[0].add_phase("restore", warm_restore_ns)
     return RestartOutcome(index=job.index, state=binding.clone_state(),
                           cost=binding.cost(), stats=stats,
                           seconds=time.perf_counter() - started)
@@ -265,7 +259,5 @@ def best_outcome(outcomes: Sequence[RestartOutcome]) -> RestartOutcome:
 
 def rebuild_binding(job: RestartJob, outcome: RestartOutcome) -> Binding:
     """Materialize a full :class:`Binding` from a restart outcome."""
-    binding = Binding(job.schedule, list(job.fus), list(job.regs),
-                      weights=job.weights)
-    binding.restore_state(outcome.state)
-    return binding
+    return Binding.from_state(job.schedule, list(job.fus), list(job.regs),
+                              outcome.state, job.weights)

@@ -3,18 +3,20 @@
 :meth:`repro.core.binding.Binding.clone_state` returns a
 :class:`BindingState`: copies of the six name-keyed decision dicts, keyed
 by section (``state["op_fu"]`` etc.), so it compares, encodes
-(:func:`repro.verify.sanitizer.encode_state`) and restores like the plain
-dict snapshot it is.  Each copy keeps the live dict's iteration order.
+(:func:`repro.verify.sanitizer.encode_state`) and loads
+(:meth:`~repro.core.binding.Binding.from_state`) like the plain dict
+snapshot it is.  Each copy keeps the live dict's iteration order.
 
 A snapshot cloned from a live binding also carries a
 :class:`DerivedSnapshot` — shallow copies of the incrementally-maintained
 derived state (occupancy, FU tokens, load counters, per-site event lists
 and the connection-ledger refcount columns) — and the token of the binding
-that made it.  ``restore_state`` uses both to diff-replay a same-binding
-restore without re-deriving any site; every other consumer (the
-sanitizer's shadow rebuild, ``duplicate``, a pickled or decoded snapshot)
-re-derives from the decisions alone, which is what keeps the
-shadow-rebuild referee independent of the live derived state.
+that made it.  ``restore_state`` takes only such a snapshot of its own
+binding, and uses both to diff-replay the restore without re-deriving any
+site.  Every other snapshot (another binding's, a pickled or decoded one)
+is loaded into a fresh binding by ``Binding.from_state``, which re-derives
+from the decisions alone; the sanitizer's shadow rebuild loads that way,
+which keeps the referee independent of the live derived state.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ class DerivedSnapshot:
 
     Everything here is redundant with the decisions (it can be re-derived
     from them), so it is excluded from snapshot equality and from pickling;
-    it exists purely so a same-binding restore can bulk-copy instead of
+    it exists purely so ``restore_state`` can bulk-copy instead of
     re-derive.  The site-event lists are shared, not copied — the flush
     engine replaces event lists wholesale and never mutates one in place,
     so sharing is safe.

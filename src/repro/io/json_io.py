@@ -7,7 +7,8 @@ Lets users persist and exchange every artifact of the flow:
   plus the hardware assumptions (FU types are reconstructed exactly);
 * :func:`binding_to_json` / :func:`binding_from_json` — a complete
   allocation (op->FU, segments, copies, read sources, pass-throughs),
-  restored onto a freshly rebuilt Binding and re-validated.
+  loaded into a fresh Binding with ``Binding.from_state``, whose
+  primitives re-validate every decision.
 
 Round-tripping is lossless for everything the allocator decides; the
 test-suite asserts cost equality and simulation equivalence after a
@@ -220,27 +221,22 @@ def binding_from_json(text: str) -> Binding:
     fus = [FU(f["name"], spec.type_named(f["type"])) for f in data["fus"]]
     regs = [Register(name) for name in data["registers"]]
     w = data["weights"]
-    binding = Binding(schedule, fus, regs,
-                      weights=CostWeights(fu=w["fu"],
-                                          register=w["register"],
-                                          mux=w["mux"], wire=w["wire"],
-                                          latency=w.get("latency", 0.0)))
-    for op, fu in data["op_fu"].items():
-        binding.set_op_fu(op, fu)
-    for entry in data["placements"]:
-        binding.set_placements(entry["value"], entry["step"],
-                               tuple(entry["regs"]))
-    for op, flag in data["op_swap"].items():
-        binding.set_op_swap(op, flag)
-    for entry in data["read_src"]:
-        binding.set_read_src(entry["op"], entry["port"], entry["reg"])
-    for value, reg in data["out_src"].items():
-        binding.set_out_src(value, reg)
-    for entry in data["passthroughs"]:
-        binding.set_pt(entry["value"], entry["dst_step"], entry["dst_reg"],
-                       (entry["src_reg"], entry["fu"], entry["port"]))
-    binding.flush()
-    return binding
+    state = {
+        "op_fu": data["op_fu"],
+        "placements": {(entry["value"], entry["step"]): tuple(entry["regs"])
+                       for entry in data["placements"]},
+        "op_swap": data["op_swap"],
+        "read_src": {(entry["op"], entry["port"]): entry["reg"]
+                     for entry in data["read_src"]},
+        "out_src": data["out_src"],
+        "pt_impl": {(entry["value"], entry["dst_step"], entry["dst_reg"]):
+                    (entry["src_reg"], entry["fu"], entry["port"])
+                    for entry in data["passthroughs"]},
+    }
+    return Binding.from_state(
+        schedule, fus, regs, state,
+        CostWeights(fu=w["fu"], register=w["register"], mux=w["mux"],
+                    wire=w["wire"], latency=w.get("latency", 0.0)))
 
 
 # ------------------------------------------------------------ delay spec

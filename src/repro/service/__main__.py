@@ -68,8 +68,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                   cache_dir=args.cache_dir,
                   persistent_cache=not args.no_disk_cache,
                   max_attempts=args.max_attempts,
-                  worker_mode=args.worker_mode,
-                  batch_limit=args.batch_limit)
+                  worker_mode=args.worker_mode)
     return 0
 
 
@@ -257,9 +256,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                        help="run searches in worker processes (default) "
                             "or threads; falls back to threads where "
                             "fork is unavailable")
-    serve.add_argument("--batch-limit", type=int, default=None,
-                       help="max same-shape queued requests dispatched "
-                            "as one batch")
     serve.set_defaults(func=_cmd_serve)
 
     submit = commands.add_parser("submit", help="POST /allocate")

@@ -39,9 +39,9 @@ Duplicate in-flight submissions coalesce onto one job and are
 *refcounted*: a cancel detaches one waiter, and only the last waiter's
 cancel stops the underlying search.
 
-Same-shape requests adjacent in the queue are claimed as one batch by a
-single orchestrator: they share a memoized schedule resolution and their
-restarts enter the executor as one dispatch wave.
+Each orchestrator claims one job at a time, so a job blocked in its
+search never holds a queued job back while another orchestrator is idle.
+Jobs of one problem shape share a memoized schedule resolution.
 
 Retry policy rides on :mod:`repro.verify.classify`.  A transient fault
 (``OSError``, ``MemoryError``, a broken worker pool) is retried with the
@@ -55,10 +55,11 @@ like a degraded one, it stays out of the exact-key cache.  Deterministic
 
 Warm starts: every successful job publishes its winning decision-state
 snapshot under ``warm_<shape-key>``; a request with ``warm_start: true``
-whose exact key misses but whose shape key hits restores that snapshot on
-top of the constructive initial allocation before searching.  Warm-started
-results are themselves kept out of the exact-key cache, because their
-content depends on what happened to be in the warm store.
+whose exact key misses but whose shape key hits starts every restart from
+that snapshot (``Binding.from_state``) instead of the constructive initial
+allocation.  Warm-started results are themselves kept out of the
+exact-key cache, because their content depends on what happened to be in
+the warm store.
 """
 
 from __future__ import annotations
@@ -110,9 +111,6 @@ DEFAULT_PROFILE_EVERY = 64
 
 #: completed jobs retained for GET /jobs/<id> after they finish
 RETAINED_JOBS = 1024
-
-#: most queued same-shape jobs one orchestrator claims as a batch
-DEFAULT_BATCH_LIMIT = 4
 
 #: memoized schedule resolutions kept per manager (keyed by shape key)
 SCHEDULE_MEMO_SIZE = 32
@@ -227,8 +225,7 @@ class JobManager:
                  workers: int = 2, queue_limit: int = 64,
                  max_attempts: int = 3,
                  profile_every: int = DEFAULT_PROFILE_EVERY,
-                 worker_mode: str = THREAD_MODE,
-                 batch_limit: int = DEFAULT_BATCH_LIMIT) -> None:
+                 worker_mode: str = THREAD_MODE) -> None:
         self.cache = cache
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.max_attempts = max(1, max_attempts)
@@ -236,7 +233,6 @@ class JobManager:
         self.profile_every = profile_every
         self.workers = max(1, workers)
         self.worker_mode = resolve_worker_mode(worker_mode)
-        self.batch_limit = max(1, batch_limit)
 
         self._lock = threading.Lock()
         self._queue: List[Job] = []
@@ -271,9 +267,6 @@ class JobManager:
             "jobs_degraded", "jobs that returned best-so-far on deadline")
         self._warm = m.counter(
             "jobs_warm_started", "jobs seeded from a cached shape snapshot")
-        self._batched = m.counter(
-            "jobs_batched",
-            "queued same-shape jobs claimed alongside a batch leader")
         self._memo_hits = m.counter(
             "schedule_memo_hits",
             "jobs that reused a memoized schedule resolution")
@@ -475,7 +468,7 @@ class JobManager:
 
     def _dispatch_restarts(self, job: Job, restart_jobs: List[RestartJob]) \
             -> List[RestartOutcome]:
-        """Submit a job's restarts to the pool as one dispatch wave."""
+        """Submit a job's restarts to the pool and await their outcomes."""
         pool = self._ensure_pool()
         try:
             futures = [pool.submit(run_restart, rjob)
@@ -514,26 +507,6 @@ class JobManager:
         # last: anyone woken by the event must see final stamps + counters
         job.done_event.set()
 
-    def _claim_batch(self) -> List[Job]:
-        """Pop the head job plus queued same-shape followers (lock held).
-
-        Batch members share one schedule resolution and their restarts
-        reach the executor as a single dispatch wave, which is how
-        bursts of same-shape requests (a design-space sweep, a retry
-        storm) avoid re-resolving the problem N times.
-        """
-        head = self._queue.pop(0)
-        batch = [head]
-        index = 0
-        while index < len(self._queue) and len(batch) < self.batch_limit:
-            if self._queue[index].shape_key == head.shape_key:
-                batch.append(self._queue.pop(index))
-            else:
-                index += 1
-        if len(batch) > 1:
-            self._batched.inc(len(batch) - 1)
-        return batch
-
     def _worker_loop(self) -> None:
         while True:
             with self._lock:
@@ -541,18 +514,17 @@ class JobManager:
                     self._work.wait()
                 if self._shutdown and not self._queue:
                     return
-                batch = self._claim_batch()
+                job = self._queue.pop(0)
                 self._queue_depth.set(len(self._queue))
-            for job in batch:
-                job.status = RUNNING
-                job.started_at = time.time()
-                job.started_mono = time.monotonic()
-                self._queue_seconds.observe(job.queue_seconds() or 0.0)
-                self._in_flight.inc()
-                try:
-                    self._execute(job)
-                finally:
-                    self._in_flight.dec()
+            job.status = RUNNING
+            job.started_at = time.time()
+            job.started_mono = time.monotonic()
+            self._queue_seconds.observe(job.queue_seconds() or 0.0)
+            self._in_flight.inc()
+            try:
+                self._execute(job)
+            finally:
+                self._in_flight.dec()
 
     def _execute(self, job: Job) -> None:
         request = job.request

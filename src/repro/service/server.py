@@ -58,19 +58,16 @@ class AllocationService:
                  persistent_cache: bool = True,
                  max_attempts: int = 3,
                  sync_wait_s: float = DEFAULT_SYNC_WAIT_S,
-                 worker_mode: str = "thread",
-                 batch_limit: Optional[int] = None) -> None:
+                 worker_mode: str = "thread") -> None:
         self.metrics = MetricsRegistry()
         self.cache = TieredCache.standard(cache_dir=cache_dir,
                                           memory_budget=memory_budget,
                                           metrics=self.metrics,
                                           persistent=persistent_cache)
-        job_kwargs = {} if batch_limit is None \
-            else {"batch_limit": batch_limit}
         self.jobs = JobManager(cache=self.cache, metrics=self.metrics,
                                workers=workers, queue_limit=queue_limit,
                                max_attempts=max_attempts,
-                               worker_mode=worker_mode, **job_kwargs)
+                               worker_mode=worker_mode)
         self.sync_wait_s = sync_wait_s
         self.started_at = time.time()  # display-only wall stamp
         self._started_mono = time.monotonic()

@@ -10,7 +10,8 @@ optimizes.  This module is the opt-in referee for that machinery:
 
 * **shadow-rebuild equivalence** — every N accepted moves a fresh
   :class:`~repro.core.binding.Binding` is rebuilt from
-  :meth:`~repro.core.binding.Binding.clone_state` and its derived state
+  :meth:`~repro.core.binding.Binding.clone_state` through
+  :meth:`~repro.core.binding.Binding.from_state`, and its derived state
   (occupancy maps, FU tokens, per-site events, per-connection ledger
   refcounts) plus its :class:`~repro.datapath.cost.CostBreakdown` must be
   bit-identical to the live binding's;
@@ -68,7 +69,7 @@ def encode_state(state: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def decode_state(data: Dict[str, Any]) -> Dict[str, Any]:
-    """Inverse of :func:`encode_state` (restorable via ``restore_state``)."""
+    """Inverse of :func:`encode_state` (load it with ``from_state``)."""
     return {
         "op_fu": dict(data["op_fu"]),
         "op_swap": dict(data["op_swap"]),
@@ -217,11 +218,10 @@ class ShadowSanitizer:
         live = binding.derived_snapshot()
         problems: List[str] = []
 
-        shadow = Binding(binding.schedule, list(binding.fus.values()),
-                         list(binding.regs.values()),
-                         weights=binding.weights)
         try:
-            shadow.restore_state(raw)
+            shadow = Binding.from_state(
+                binding.schedule, list(binding.fus.values()),
+                list(binding.regs.values()), raw, binding.weights)
         except ReproError as exc:
             problems.append(f"decision state not replayable: {exc}")
         else:

@@ -3,9 +3,9 @@
 Property-style coverage that reuses the ``repro.verify.fuzz`` CDFG
 generator: across random problems and random move sequences the
 incremental ``Binding.total_cost()`` must equal the structured
-``cost().total`` *exactly* (same floats, not approximately), diff-based
-``restore_state()`` must land on a state bit-identical to a from-scratch
-rebuild.
+``cost().total`` *exactly* (same floats, not approximately), and the
+diff-based ``restore_state()`` must land on a state bit-identical to a
+from-scratch rebuild (``Binding.from_state``).
 """
 
 import pytest
@@ -66,7 +66,7 @@ def test_total_cost_tracks_cost_exactly(index):
 @pytest.mark.parametrize("index", CASE_INDICES)
 def test_diff_restore_bit_identical_to_fresh_rebuild(index):
     """Diff-based restore from a *mutated* live state must equal a fresh
-    binding restored from the same snapshot."""
+    binding loaded from the same snapshot."""
     binding, case = _fuzz_binding(index)
     snapshot = binding.clone_state()
     rng = make_rng(case.seed + 1)
@@ -78,9 +78,9 @@ def test_diff_restore_bit_identical_to_fresh_rebuild(index):
         binding.commit_move()
     binding.restore_state(snapshot)
 
-    fresh = Binding(binding.schedule, list(binding.fus.values()),
-                    list(binding.regs.values()), weights=binding.weights)
-    fresh.restore_state(snapshot)
+    fresh = Binding.from_state(binding.schedule, list(binding.fus.values()),
+                               list(binding.regs.values()), snapshot,
+                               binding.weights)
     assert binding.derived_snapshot() == fresh.derived_snapshot()
     assert binding.cost() == fresh.cost()
     assert binding.total_cost() == fresh.total_cost()

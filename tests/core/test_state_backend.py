@@ -1,13 +1,13 @@
-"""Differential regression: the two ``restore_state`` paths.
+"""Snapshot round trips: the one restore path and the one load path.
 
-A snapshot cloned by a binding restores into that binding by diffing the
-decision dicts and bulk-copying the clone-time derived state; any other
-name-keyed snapshot restores through the primitives.  These tests pin
-the contract that makes the fast path safe: both paths must produce
-**bit-identical search trajectories** — same best/cost traces, same final
-cost, same decision dicts, and the same ``placements`` iteration order
-(dict order feeds the transfer-enumeration RNG, so an ordering difference
-*is* a trajectory difference).
+``restore_state`` returns a binding to a snapshot it cloned itself, by
+diffing the decision dicts and bulk-copying the clone-time derived state;
+it refuses every other snapshot.  ``Binding.from_state`` loads any
+name-keyed snapshot (another binding's clone, a pickled or decoded copy)
+into a fresh binding through the primitives.  Both must land on the
+snapshot's decisions, and ``placements`` must iterate in the documented
+order (dict order feeds the transfer-enumeration RNG, so an ordering
+difference *is* a trajectory difference).
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ import pytest
 
 from repro.bench import discrete_cosine_transform, elliptic_wave_filter
 from repro.datapath.units import HardwareSpec, make_registers
+from repro.errors import BindingError
 from repro.sched.explore import schedule_graph
-from repro.core import (AnnealConfig, ImproveConfig, anneal, improve,
-                        initial_allocation)
+from repro.core import ImproveConfig, improve, initial_allocation
 from repro.core.binding import Binding
 from repro.core.moves import MoveSet
 from repro.core.snapshot import BindingState
@@ -42,66 +42,11 @@ def fresh_binding(bench="ewf"):
         make_registers(schedule.min_registers() + 1))
 
 
-def observables(binding):
-    """Every live-binding datum a backend difference could perturb."""
-    return (
-        binding.total_cost(),
-        sorted(binding.op_fu.items()),
-        sorted((k, tuple(v)) for k, v in binding.placements.items()),
-        list(binding.placements),  # iteration order is trajectory-relevant
-        sorted(binding.read_src.items()),
-        sorted(binding.pt_impl.items()),
-        binding.derived_snapshot(),
-    )
-
-
-def trajectory(binding, stats):
-    """Everything a backend difference could perturb, in one tuple."""
-    return (
-        tuple(stats.best_trace),
-        tuple(stats.cost_trace),
-        stats.final_cost.total,
-    ) + observables(binding)
-
-
-def force_primitives_path(monkeypatch):
-    """Route every restore through the primitives: a plain-dict copy of
-    the snapshot (same sections, same dict order) has no owner."""
-    original = Binding.clone_state
-    monkeypatch.setattr(
-        Binding, "clone_state", lambda self: dict(original(self)))
-
-
-class TestImproveBackendParity:
-
-    @pytest.mark.parametrize("bench", ["ewf", "dct"])
-    @pytest.mark.parametrize("seed", [1, 9])
-    def test_diff_replay_matches_legacy_restore(self, bench, seed,
-                                                monkeypatch):
-        config = ImproveConfig(max_trials=3, moves_per_trial=200,
-                               seed=seed, sanitize=True, sanitize_every=32)
-        binding = fresh_binding(bench)
-        fast = trajectory(binding, improve(binding, config))
-
-        with monkeypatch.context() as patch:
-            force_primitives_path(patch)
-            binding = fresh_binding(bench)
-            primitives = trajectory(binding, improve(binding, config))
-
-        assert fast == primitives
-
-    def test_anneal_backend_parity(self, monkeypatch):
-        config = AnnealConfig(temperature_levels=4, moves_per_level=150,
-                              seed=3, sanitize=True, sanitize_every=32)
-        binding = fresh_binding("dct")
-        fast = trajectory(binding, anneal(binding, config))
-
-        with monkeypatch.context() as patch:
-            force_primitives_path(patch)
-            binding = fresh_binding("dct")
-            primitives = trajectory(binding, anneal(binding, config))
-
-        assert fast == primitives
+def load(binding, state):
+    """A fresh binding of *binding*'s problem loaded from *state*."""
+    return Binding.from_state(binding.schedule, list(binding.fus.values()),
+                              list(binding.regs.values()), state,
+                              binding.weights)
 
 
 class TestSnapshotRoundTrips:
@@ -114,29 +59,24 @@ class TestSnapshotRoundTrips:
         assert state == binding.clone_state()
 
     def test_restore_round_trip_is_identity(self):
-        # Both restore paths must agree bit-for-bit — including the
-        # placements iteration order, which by design is NOT the clone
-        # -time order after a restore: unchanged keys keep their live
-        # position, differing keys re-enter in snapshot order.
-        def drift_and_restore(through_primitives):
-            binding = fresh_binding("ewf")
-            improve(binding, ImproveConfig(max_trials=1,
-                                           moves_per_trial=150, seed=4))
-            state = binding.clone_state()
-            rng = random.Random(5)  # drift: 60 unpriced random moves
-            moves = [fn for _name, fn, _weight in MoveSet().enabled_moves()]
-            for _ in range(60):
-                rng.choice(moves)(binding, rng)
-            drifted = dict(binding.placements)
-            binding.restore_state(dict(state) if through_primitives
-                                  else state)
-            return state, drifted, binding, observables(binding)
-
-        state, drifted, binding, via_fast = drift_and_restore(False)
-        _, _, _, via_primitives = drift_and_restore(True)
-        assert via_fast == via_primitives
-        # and the restored binding's decision content is the snapshot's
+        # The restored placements iteration order is by design NOT the
+        # clone-time order: unchanged keys keep their live position,
+        # differing keys re-enter in snapshot order.
+        binding = fresh_binding("ewf")
+        improve(binding, ImproveConfig(max_trials=1, moves_per_trial=150,
+                                       seed=4))
+        state = binding.clone_state()
+        rng = random.Random(5)  # drift: 60 unpriced random moves
+        moves = [fn for _name, fn, _weight in MoveSet().enabled_moves()]
+        for _ in range(60):
+            rng.choice(moves)(binding, rng)
+        drifted = dict(binding.placements)
+        binding.restore_state(state)
+        # the restored binding's decision content is the snapshot's, and
+        # its derived state is what the decisions derive to
         assert state == binding.clone_state()
+        assert binding.derived_snapshot() == \
+            load(binding, state).derived_snapshot()
         # the order law: unchanged keys in live order, then the
         # snapshot's differing keys in snapshot order
         snap = state["placements"]
@@ -153,13 +93,14 @@ class TestSnapshotRoundTrips:
         state = binding.clone_state()
         decoded = decode_state(json.loads(json.dumps(encode_state(state))))
         assert decoded == state
-        other = fresh_binding("dct")
-        other.restore_state(decoded)
-        assert other.total_cost() == pytest.approx(binding.total_cost())
+        other = load(binding, decoded)
+        assert other.total_cost() == binding.total_cost()
+        assert other.derived_snapshot() == binding.derived_snapshot()
         assert other.clone_state() == state
-        # an encoded snapshot carries no live insertion order: it decodes
-        # in sorted-segment order
+        # an encoded snapshot carries no live insertion order: it decodes,
+        # and loads, in sorted-segment order
         assert list(decoded["placements"]) == sorted(decoded["placements"])
+        assert list(other.placements) == list(decoded["placements"])
 
     def test_pickle_drops_derived_but_keeps_decisions(self):
         binding = fresh_binding("dct")
@@ -169,6 +110,28 @@ class TestSnapshotRoundTrips:
         assert clone.derived is None
         assert clone.owner is None
         assert clone == state
-        other = fresh_binding("dct")
-        other.restore_state(clone)
-        assert other.total_cost() == pytest.approx(binding.total_cost())
+        other = load(binding, clone)
+        assert other.total_cost() == binding.total_cost()
+        assert list(other.placements) == list(state["placements"])
+
+
+@pytest.mark.parametrize("source", ["plain-dict", "other-binding",
+                                    "pickled", "inside-move"])
+def test_restore_takes_only_its_own_snapshot(source):
+    binding = fresh_binding("dct")
+    state = binding.clone_state()
+    if source == "plain-dict":
+        state = dict(state)
+    elif source == "other-binding":
+        state = fresh_binding("dct").clone_state()
+    elif source == "pickled":
+        state = pickle.loads(pickle.dumps(state))
+    else:
+        binding.begin_move()
+    with pytest.raises(BindingError):
+        binding.restore_state(state)
+    if source == "inside-move":
+        binding.abort_move()
+        binding.restore_state(state)  # the bracket closed: it restores
+    # every one of them still loads into a fresh binding
+    assert load(binding, state).clone_state() == binding.clone_state()

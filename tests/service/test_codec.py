@@ -271,12 +271,12 @@ class TestSchedulingFields:
         with pytest.raises(RequestError, match="bad fu_counts"):
             make_request(fu_counts={"adder": 3, "mult": value})
 
-    def test_length_over_a_serial_schedule_rejected(self):
+    def test_length_over_twice_a_serial_schedule_rejected(self):
         # the scheduler sized its busy columns by any accepted length
         serial = sum(HardwareSpec.non_pipelined().delays()[op.kind]
                      for op in elliptic_wave_filter().ops.values())
-        assert make_request(length=serial).length == serial
-        for value in (serial + 1, 10 ** 9):
+        assert make_request(length=2 * serial).length == 2 * serial
+        for value in (2 * serial + 1, 10 ** 9):
             with pytest.raises(RequestError, match="bad length"):
                 make_request(length=value)
 
@@ -301,18 +301,20 @@ class TestSchedulingFields:
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_register_cap_admits_the_zoo(self, family):
-        # the registers the zoo sweep grants each family's scenario
+        # the length and registers the zoo sweep asks of each family's
+        # scenario; a chain's critical path is its serial length, so
+        # fanout's sweep length is over the serial length
         scenario = Scenario.make(family)
         graph, spec = scenario.build(), scenario.spec()
         definition = scenario.definition
-        schedule = schedule_graph(
-            graph, spec,
-            length=asap_length(graph, spec) + definition.length_slack)
+        length = asap_length(graph, spec) + definition.length_slack
+        schedule = schedule_graph(graph, spec, length=length)
         registers = schedule.min_registers() + definition.extra_registers
         request = request_from_dict({"cdfg": cdfg_to_dict(graph),
                                      "spec": spec_to_dict(spec),
+                                     "length": length,
                                      "registers": registers})
-        assert request.registers == registers
+        assert (request.length, request.registers) == (length, registers)
 
     def test_fu_counts_must_be_an_object(self):
         with pytest.raises(RequestError, match="fu_counts"):

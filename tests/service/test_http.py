@@ -142,7 +142,8 @@ def test_oversized_scheduling_field_is_400(service_url, field):
 
     graph = elliptic_wave_filter()
     delays = HardwareSpec.non_pipelined().delays()
-    over = {"length": sum(delays[op.kind] for op in graph.ops.values()) + 1,
+    over = {"length": 2 * sum(delays[op.kind]
+                              for op in graph.ops.values()) + 1,
             "fu_counts": {"adder": len(graph.ops) + len(graph.values) + 1}}
     client = ServiceClient(service_url)
     with pytest.raises(ServiceError) as excinfo:

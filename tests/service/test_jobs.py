@@ -10,12 +10,14 @@ import time
 import pytest
 
 from repro.alloc.checker import check_binding
+from repro.core.parallel import _fork_context
 from repro.errors import ReproError
 from repro.io.json_io import binding_from_json, canonical_dumps
 from repro.service.cache import MemoryLRUCache, TieredCache
 from repro.service.codec import request_from_dict, request_key
-from repro.service.jobs import (CANCELLED, DONE, FAILED, JobManager,
-                                JobNotFoundError, QueueFullError)
+from repro.service.jobs import (CANCELLED, DONE, FAILED, PROCESS_MODE,
+                                THREAD_MODE, JobManager, JobNotFoundError,
+                                QueueFullError)
 from repro.service.metrics import MetricsRegistry
 from repro.verify.sanitizer import SanitizerError, decode_state
 
@@ -149,20 +151,29 @@ def _result_digest(result):
         .hexdigest()
 
 
-def test_warm_start_result_is_pinned(manager_setup):
+@pytest.mark.parametrize("mode", [
+    THREAD_MODE,
+    pytest.param(PROCESS_MODE, marks=pytest.mark.skipif(
+        _fork_context() is None, reason="fork start method unavailable"))])
+def test_warm_start_result_is_pinned(mode):
     """A search seeded from the warm store gives a fixed result: the
-    snapshot's codec may change, the state it restores may not."""
-    manager, _, _ = manager_setup
-    job, _ = manager.submit(fast_request(seed=5))
-    assert job.wait(120)
-    assert job.status == DONE
+    snapshot's codec may change, the state it loads may not.  In process
+    mode the warm state crosses the pickle boundary first."""
+    manager, _, _ = make_manager(worker_mode=mode)
+    try:
+        assert manager.worker_mode == mode
+        job, _ = manager.submit(fast_request(seed=5))
+        assert job.wait(120)
+        assert job.status == DONE
 
-    warm_job, _ = manager.submit(fast_request(seed=6, warm_start=True,
-                                              restarts=2))
-    assert warm_job.wait(120)
-    assert warm_job.status == DONE
-    assert warm_job.result["warm_started"] is True
-    assert _result_digest(warm_job.result) == WARM_START_DIGEST
+        warm_job, _ = manager.submit(fast_request(seed=6, warm_start=True,
+                                                  restarts=2))
+        assert warm_job.wait(120)
+        assert warm_job.status == DONE
+        assert warm_job.result["warm_started"] is True
+        assert _result_digest(warm_job.result) == WARM_START_DIGEST
+    finally:
+        manager.shutdown()
 
 
 def test_warm_snapshot_is_an_encoded_state(manager_setup, monkeypatch):
@@ -532,35 +543,51 @@ def test_cancel_while_queued_sets_cancel_event():
         manager.shutdown()
 
 
-# ----------------------------------------------------- same-shape batching
+# ------------------------------------------------- one job per orchestrator
 
 
-def test_same_shape_queued_jobs_claim_as_one_batch():
-    manager, _, metrics = make_manager(workers=1)
+def test_queued_job_runs_beside_a_blocked_job_of_its_shape():
+    """A job blocked in its search must not hold back a queued job of the
+    same shape while another orchestrator is idle."""
+    manager, _, metrics = make_manager(workers=2)
     try:
-        block = threading.Event()
+        go, hold = threading.Event(), threading.Event()
         real = manager._run_search
 
-        def slow(job, attempt):
-            if not block.is_set():
-                block.wait(30)
+        def gated(job, attempt):
+            seed = job.request.seed
+            if seed in (1, 2):
+                go.wait(30)   # the two occupiers
+            elif seed == 10:
+                hold.wait(60)  # the blocked job
             return real(job, attempt)
 
-        manager._run_search = slow
-        blocker, _ = manager.submit(fast_request(seed=1, length=21))
-        time.sleep(0.2)  # the single worker is now busy with the blocker
-        same_shape = [manager.submit(fast_request(seed=10 + n))[0]
-                      for n in range(3)]
-        other, _ = manager.submit(fast_request(seed=30, length=19))
-        block.set()
-        for job in [blocker, other] + same_shape:
+        manager._run_search = gated
+        # two shapes, so neither occupier can queue behind the other
+        occupiers = [manager.submit(fast_request(seed=1))[0],
+                     manager.submit(fast_request(seed=2, length=19))[0]]
+        for _ in range(200):  # both orchestrators are now busy
+            if all(job.status == "running" for job in occupiers):
+                break
+            time.sleep(0.01)
+        assert all(job.status == "running" for job in occupiers)
+        blocked, _ = manager.submit(fast_request(seed=10))
+        queued, _ = manager.submit(fast_request(seed=11))
+        go.set()
+        # one orchestrator takes the blocked job, the other the queued one
+        assert queued.wait(30)
+        assert queued.status == DONE
+        assert blocked.status == "running"
+        hold.set()
+        for job in occupiers + [blocked]:
             assert job.wait(120)
             assert job.status == DONE
-        # the three same-shape followers rode one claim...
-        assert metrics.counter("jobs_batched").value == 2
-        # ...and all but each shape's first resolution hit the memo
+        # both length-17 jobs ran after the first occupier memoized the
+        # shape's schedule resolution
         assert metrics.counter("schedule_memo_hits").value >= 2
     finally:
+        hold.set()
+        go.set()
         manager.shutdown()
 
 

@@ -73,10 +73,9 @@ class TestStateCodec:
     def test_decoded_state_is_restorable(self, diffeq, nonpipe_spec):
         binding = _fresh_binding(diffeq, nonpipe_spec)
         snapshot = decode_state(encode_state(binding.clone_state()))
-        shadow = Binding(binding.schedule, list(binding.fus.values()),
-                         list(binding.regs.values()),
-                         weights=binding.weights)
-        shadow.restore_state(snapshot)
+        shadow = Binding.from_state(
+            binding.schedule, list(binding.fus.values()),
+            list(binding.regs.values()), snapshot, binding.weights)
         assert shadow.cost() == binding.cost()
         assert shadow.derived_snapshot() == binding.derived_snapshot()
 
