@@ -2,38 +2,18 @@
 
 "Attempts to use annealing produced poor results and seldom converged on a
 good solution."  At equal move budgets the bounded-uphill scheme should
-end at an equal-or-lower cost; the benchmark times one annealing level vs
-one improvement trial.
+end at an equal-or-lower cost.
 """
 
 from conftest import FAST, publish
 
 from repro.analysis import ablation_anneal
-from repro.bench import hal_diffeq
-from repro.datapath.units import HardwareSpec, make_registers
-from repro.sched import schedule_graph
-from repro.core import AnnealConfig, ImproveConfig, anneal, improve, \
-    initial_allocation
 
 
-def test_ablation_anneal(benchmark, capsys):
+def test_ablation_anneal(capsys):
     table = ablation_anneal(fast=FAST)
     publish(table, "ablation_anneal.txt", capsys)
 
     by_name = {row[0]: row[1] for row in table.rows}
     assert by_name["iterative improvement"] <= \
         by_name["simulated annealing"] + 1  # allow one-mux noise
-
-    graph = hal_diffeq()
-    spec = HardwareSpec.non_pipelined()
-    schedule = schedule_graph(graph, spec, 7)
-    fus = spec.make_fus(schedule.min_fus())
-    regs = make_registers(schedule.min_registers() + 1)
-
-    def one_improvement_trial():
-        binding = initial_allocation(schedule, fus, regs)
-        improve(binding, ImproveConfig(max_trials=1, moves_per_trial=300,
-                                       seed=1))
-        return binding.cost().total
-
-    benchmark.pedantic(one_improvement_trial, rounds=3, iterations=1)

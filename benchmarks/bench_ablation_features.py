@@ -12,7 +12,7 @@ from conftest import FAST, publish
 from repro.analysis import ablation_features
 
 
-def test_ablation_features(benchmark, capsys):
+def test_ablation_features(capsys):
     table = ablation_features(fast=FAST)
     publish(table, "ablation_features.txt", capsys)
 
@@ -20,8 +20,3 @@ def test_ablation_features(benchmark, capsys):
     assert muxes == sorted(muxes, reverse=True) or \
         all(m <= muxes[0] for m in muxes)
     assert muxes[-1] <= muxes[0]
-
-    def fast_feature_column():
-        return [row[1] for row in ablation_features(fast=True).rows]
-
-    benchmark.pedantic(fast_feature_column, rounds=1, iterations=1)

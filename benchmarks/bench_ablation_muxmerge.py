@@ -3,21 +3,15 @@
 "After allocation improvement, the number of multiplexers can be reduced
 by merging together compatible multiplexers."  Reports physical mux
 instances and equivalent 2-1 counts before/after merging on EWF
-allocations; the benchmark times the merge itself.
+allocations.
 """
 
 from conftest import FAST, publish
 
 from repro.analysis import ablation_muxmerge
-from repro.bench import elliptic_wave_filter
-from repro.datapath.muxmerge import merge_muxes
-from repro.datapath.netlist import build_netlist
-from repro.datapath.units import HardwareSpec
-from repro.sched import schedule_graph
-from repro.core import ImproveConfig, SalsaAllocator
 
 
-def test_ablation_muxmerge(benchmark, capsys):
+def test_ablation_muxmerge(capsys):
     table = ablation_muxmerge(fast=FAST)
     publish(table, "ablation_muxmerge.txt", capsys)
 
@@ -25,13 +19,3 @@ def test_ablation_muxmerge(benchmark, capsys):
         _csteps, before_inst, after_inst, before_eq, after_eq = row
         assert after_inst <= before_inst
         assert after_eq <= before_eq
-
-    graph = elliptic_wave_filter()
-    schedule = schedule_graph(graph, HardwareSpec.non_pipelined(), 19)
-    result = SalsaAllocator(
-        seed=2, restarts=1,
-        config=ImproveConfig(max_trials=3, moves_per_trial=200)).allocate(
-        graph, schedule=schedule)
-    netlist = build_netlist(result.binding)
-
-    benchmark(lambda: merge_muxes(netlist).after_instances)

@@ -17,7 +17,7 @@ from repro.sched import schedule_graph
 from repro.core import ImproveConfig, SalsaAllocator
 
 
-def test_extension_buses(benchmark, capsys):
+def test_extension_buses(capsys):
     config = ImproveConfig(max_trials=4 if FAST else 10,
                            moves_per_trial=250 if FAST else 600)
     table = ExperimentTable(
@@ -47,14 +47,3 @@ def test_extension_buses(benchmark, capsys):
 
     for report in reports:
         assert report.bus_count < report.point_to_point_wires
-
-    netlist = build_netlist(
-        SalsaAllocator(seed=1, restarts=1,
-                       config=ImproveConfig(max_trials=2,
-                                            moves_per_trial=100)).allocate(
-            elliptic_wave_filter(),
-            schedule=schedule_graph(elliptic_wave_filter(),
-                                    HardwareSpec.non_pipelined(),
-                                    19)).binding)
-    benchmark.pedantic(lambda: extract_buses(netlist).bus_count,
-                       rounds=5, iterations=1)

@@ -10,7 +10,7 @@ from conftest import publish
 from repro.analysis import figure4_experiment, value_split_demo
 
 
-def test_fig4_value_split(benchmark, capsys):
+def test_fig4_value_split(capsys):
     table = figure4_experiment()
     publish(table, "fig4_value_split.txt", capsys)
 
@@ -18,5 +18,5 @@ def test_fig4_value_split(benchmark, capsys):
     split = table.rows[1][1]
     assert single - split == 1
 
-    demo = benchmark.pedantic(value_split_demo, rounds=5, iterations=1)
+    demo = value_split_demo()
     assert demo["split_wires"] <= demo["single_wires"]

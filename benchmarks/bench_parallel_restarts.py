@@ -37,7 +37,7 @@ def _wall(allocator, graph, schedule, workers):
     return result, time.perf_counter() - started
 
 
-def test_parallel_restarts(benchmark, capsys):
+def test_parallel_restarts(capsys):
     graph = elliptic_wave_filter()
     schedule = schedule_graph(graph, HardwareSpec.non_pipelined(), 19)
     restarts = 4 if FAST else 8
@@ -85,11 +85,3 @@ def test_parallel_restarts(benchmark, capsys):
     with open(report_path, "w") as fh:
         json.dump(telemetry_report(serial.stats), fh, indent=2,
                   sort_keys=True)
-
-    benchmark.pedantic(
-        lambda: SalsaAllocator(
-            seed=7, restarts=2,
-            config=ImproveConfig(max_trials=2,
-                                 moves_per_trial=150)).allocate(
-            graph, schedule=schedule, workers=2).cost.total,
-        rounds=2, iterations=1)

@@ -17,7 +17,7 @@ from repro.sched import schedule_graph
 from repro.core import ImproveConfig
 
 
-def test_restart_variance(benchmark, capsys):
+def test_restart_variance(capsys):
     graph = elliptic_wave_filter()
     schedule = schedule_graph(graph, HardwareSpec.non_pipelined(), 19)
     config = ImproveConfig(max_trials=4 if FAST else 8,
@@ -46,9 +46,3 @@ def test_restart_variance(benchmark, capsys):
 
     for study in studies:
         assert study.expected_best_of(3) <= study.mean + 1e-9
-
-    benchmark.pedantic(
-        lambda: seed_study(graph, schedule, seeds=range(2),
-                           config=ImproveConfig(max_trials=2,
-                                                moves_per_trial=150)).best,
-        rounds=2, iterations=1)

@@ -3,21 +3,15 @@
 Regenerates the paper's main result table: equivalent 2-1 multiplexer
 counts for the elliptic wave filter at 17/19/21 control steps (pipelined
 and non-pipelined multipliers) under varying register budgets, SALSA
-extended model vs. the traditional binding model.  The benchmark timing
-measures one representative SALSA allocation run (the unit the paper
-reports CPU minutes for).
+extended model vs. the traditional binding model.
 """
 
 from conftest import FAST, publish
 
 from repro.analysis import ewf_table2
-from repro.bench import elliptic_wave_filter
-from repro.datapath.units import HardwareSpec
-from repro.sched import schedule_graph
-from repro.core import ImproveConfig, SalsaAllocator
 
 
-def test_table2_ewf(benchmark, capsys):
+def test_table2_ewf(capsys):
     table = ewf_table2(fast=FAST, extra_registers=(0, 1) if FAST
                        else (0, 1, 2))
     publish(table, "table2_ewf.txt", capsys)
@@ -28,13 +22,3 @@ def test_table2_ewf(benchmark, capsys):
     assert all(s <= t for s, t in zip(salsa, trad))
     assert any(s < t for s, t in zip(salsa, trad)), \
         "expected at least one strict SALSA win across Table 2"
-
-    graph = elliptic_wave_filter()
-    schedule = schedule_graph(graph, HardwareSpec.non_pipelined(), 19)
-    config = ImproveConfig(max_trials=3, moves_per_trial=200)
-
-    def representative_allocation():
-        return SalsaAllocator(seed=1, restarts=1, config=config).allocate(
-            graph, schedule=schedule).mux_count
-
-    benchmark.pedantic(representative_allocation, rounds=2, iterations=1)

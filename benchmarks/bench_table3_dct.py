@@ -1,21 +1,15 @@
 """Table 3 — DCT allocations for four schedules.
 
 Regenerates the paper's larger-example table on the 48-op discrete cosine
-transform (25 add / 7 sub / 16 mul); benchmark timing measures one
-representative allocation of the DCT ("execution times ranged ... CPU
-minutes", paper Sec. 5 — ours are seconds).
+transform (25 add / 7 sub / 16 mul).
 """
 
 from conftest import FAST, publish
 
 from repro.analysis import dct_table3
-from repro.bench import discrete_cosine_transform
-from repro.datapath.units import HardwareSpec
-from repro.sched import schedule_graph
-from repro.core import ImproveConfig, SalsaAllocator
 
 
-def test_table3_dct(benchmark, capsys):
+def test_table3_dct(capsys):
     table = dct_table3(fast=FAST)
     publish(table, "table3_dct.txt", capsys)
 
@@ -23,13 +17,3 @@ def test_table3_dct(benchmark, capsys):
     trad = [row[6] for row in table.rows]
     assert all(s <= t for s, t in zip(salsa, trad))
     assert len(table.rows) == 4  # the paper reports four schedules
-
-    graph = discrete_cosine_transform()
-    schedule = schedule_graph(graph, HardwareSpec.non_pipelined(), 10)
-    config = ImproveConfig(max_trials=3, moves_per_trial=200)
-
-    def representative_allocation():
-        return SalsaAllocator(seed=1, restarts=1, config=config).allocate(
-            graph, schedule=schedule).mux_count
-
-    benchmark.pedantic(representative_allocation, rounds=2, iterations=1)

@@ -2,8 +2,8 @@
 
 Every table and figure of the paper's evaluation has one module here; each
 regenerates its table (printed live and saved under ``results/out/``) and
-benchmarks a representative slice of the computation with
-pytest-benchmark.
+asserts the shape the paper reports.  Speed is measured by perfbench, not
+here.
 
 Set ``REPRO_BENCH_FULL=1`` for full search budgets (several minutes);
 the default "fast" mode reproduces the same shapes in well under a minute
@@ -11,8 +11,6 @@ per table.
 """
 
 import os
-
-import pytest
 
 # per-run regenerated outputs land in the untracked results/out/ so local
 # bench runs never dirty the curated golden files committed under results/
@@ -30,8 +28,3 @@ def publish(table, filename, capsys):
         fh.write(text + "\n")
     with capsys.disabled():
         print("\n" + text)
-
-
-@pytest.fixture(scope="session")
-def fast_mode():
-    return FAST

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.alloc.checker import check_binding
-from repro.core import ImproveConfig, SalsaAllocator
+from repro.core import AllocationResult, ImproveConfig, SalsaAllocator
 from repro.rng import SeedStream
 from repro.sched.asap import asap_length
 from repro.sched.explore import schedule_graph
@@ -77,6 +77,31 @@ class ScenarioRow:
         return data
 
 
+def allocate_scenario(scenario: Scenario,
+                      budget: Optional[ImproveConfig] = None,
+                      restarts: int = 2,
+                      method: str = "list") -> AllocationResult:
+    """Build, schedule and allocate one scenario deterministically.
+
+    The schedule is the family's ASAP length plus its slack, the register
+    budget the schedule's minimum plus the family's extra registers, and
+    the allocator seed a child of the scenario seed.  *budget* defaults
+    to :data:`FAST_BUDGET`.
+    """
+    graph = scenario.build()
+    spec = scenario.spec()
+    definition = scenario.definition
+    length = asap_length(graph, spec) + definition.length_slack
+    schedule = schedule_graph(graph, spec, length=length, method=method,
+                              label=scenario.name)
+    allocator = SalsaAllocator(
+        seed=SeedStream(scenario.seed).child(definition.fid, 0xB),
+        restarts=restarts, config=budget or FAST_BUDGET)
+    return allocator.allocate(
+        graph, schedule=schedule, spec=spec,
+        registers=schedule.min_registers() + definition.extra_registers)
+
+
 def run_scenario(scenario: Scenario,
                  budget: ImproveConfig = FAST_BUDGET,
                  restarts: int = 2,
@@ -88,19 +113,8 @@ def run_scenario(scenario: Scenario,
     the static timing analyzer (:mod:`repro.timing.sta`) and the row gains
     deterministic ``clock_period_ns`` / ``mux_depth_max`` columns.
     """
-    graph = scenario.build()
-    spec = scenario.spec()
-    definition = scenario.definition
-    length = asap_length(graph, spec) + definition.length_slack
-    schedule = schedule_graph(graph, spec, length=length, method=method,
-                              label=scenario.name)
-    registers = schedule.min_registers() + definition.extra_registers
-    allocator = SalsaAllocator(
-        seed=SeedStream(scenario.seed).child(definition.fid, 0xB),
-        restarts=restarts, config=budget)
     started = time.perf_counter()
-    result = allocator.allocate(graph, schedule=schedule, spec=spec,
-                                registers=registers)
+    result = allocate_scenario(scenario, budget, restarts, method)
     seconds = time.perf_counter() - started
     # allocate() already asserts legality; run the checker once more so a
     # sweep explicitly exercises the verification stage per scenario
@@ -116,10 +130,10 @@ def run_scenario(scenario: Scenario,
     return ScenarioRow(
         scenario=scenario.name,
         family=scenario.family,
-        ops=len(graph),
-        csteps=schedule.length,
+        ops=len(result.schedule.graph),
+        csteps=result.schedule.length,
         fus=len(result.binding.fus),
-        registers=registers,
+        registers=len(result.binding.regs),
         mux_count=result.cost.mux_count,
         cost_total=result.cost.total,
         checker_violations=len(violations),
@@ -296,6 +310,6 @@ def check_rows(rows: Sequence[ScenarioRow], golden: Dict[str, Any],
 
 __all__ = [
     "BUDGETS", "FAST_BUDGET", "FULL_BUDGET", "GOLDEN_PATH", "ScenarioRow",
-    "check_rows", "load_golden", "render_table", "results_document",
-    "run_scenario", "run_suite", "write_results",
+    "allocate_scenario", "check_rows", "load_golden", "render_table",
+    "results_document", "run_scenario", "run_suite", "write_results",
 ]

@@ -993,14 +993,6 @@ class Binding:
                               ledger.wire_count + d_wire,
                               ledger.mux_depth + d_depth)
 
-    def price_placements(self, changes: Mapping[Tuple[str, int],
-                                                Tuple[str, ...]]
-                         ) -> Optional[float]:
-        """Total cost after placing each segment of *changes*, unapplied:
-        :meth:`placement_terms` through :meth:`price_of`, or ``None``."""
-        terms = self.placement_terms(changes)
-        return None if terms is None else self.price_of(terms[0])
-
     def price_passthrough(self, terms: PriceTerms, value: str,
                           dst_step: int, dst_reg: str,
                           impl: PtImpl) -> float:
@@ -1048,7 +1040,7 @@ class Binding:
         :meth:`abort_move` re-inserts every segment key a move emptied and
         refilled at the end of the dict, and that order feeds the search
         RNG (DESIGN.md §3.3).  A caller that priced such a move with
-        :meth:`price_placements` instead of applying and aborting it calls
+        :meth:`placement_terms` instead of applying and aborting it calls
         this, outside any journal bracket, to leave the same state.  As
         after the abort, the contents and the ticks stay as they are.
         """

@@ -24,13 +24,14 @@ restart from best, polish, the idle-trial stop) stay in :func:`improve`.
 per-trial wall-clock and uphill-budget consumption, per-move-type
 attempt/apply/accept/rollback counters, and the best-cost trace with the
 move index at which each improvement landed.  It round-trips through
-``to_json()`` / ``from_json()`` so multi-process restarts (see
-:mod:`repro.core.parallel`) and offline analysis can exchange it freely.
+``to_dict()`` / ``from_dict()`` (and, as a list, through
+:func:`repro.io.stats_to_json` / :func:`repro.io.stats_from_json`) so
+multi-process restarts (see :mod:`repro.core.parallel`) and offline
+analysis can exchange it freely.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from contextlib import contextmanager
@@ -240,13 +241,6 @@ class ImproveStats:
             phase_samples=dict(data.get("phase_samples", {})),
             stopped_early=data.get("stopped_early", False),
         )
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ImproveStats":
-        return cls.from_dict(json.loads(text))
 
 
 class MoveLoop:

@@ -276,6 +276,32 @@ def _swap_segments(binding: Binding, v1: str, v2: str, step: int) -> None:
     fixup_segment(binding, v2, step)
 
 
+def _place_run(binding: Binding, value: str, steps: Sequence[int],
+               reg: str) -> None:
+    """Place each segment of *value* at *steps* in *reg* alone and repair
+    its sources: the R2b hop, and R3's and R4's placement writes."""
+    for step in steps:
+        binding.set_placements(value, step, (reg,))
+        fixup_segment(binding, value, step)
+
+
+def _exchange_values(binding: Binding, v1: str, v2: str,
+                     shared: Sequence[int]) -> None:
+    """R3 on overlapping lifetimes: swap the two values' placements at
+    every shared step."""
+    for step in shared:
+        _swap_segments(binding, v1, v2, step)
+
+
+def _move_value(binding: Binding, value: str, steps: Sequence[int],
+                reg: str) -> None:
+    """R4: drop the value's pass-throughs (no transfer remains), then
+    place every segment in *reg* alone."""
+    for key in [k for k in binding.pt_impl if k[0] == value]:
+        binding.set_pt(key[0], key[1], key[2], None)
+    _place_run(binding, value, steps, reg)
+
+
 def move_segment_exchange(binding: Binding, rng: random.Random) -> bool:
     """R1: exchange the register bindings of two segments in one step."""
     placements = binding.placements
@@ -343,9 +369,7 @@ def move_segment_hop(binding: Binding, rng: random.Random) -> bool:
         if not targets:
             continue
         new = rng.choice(targets)
-        for step in run:
-            binding.set_placements(value, step, (new,))
-            fixup_segment(binding, value, step)
+        _place_run(binding, value, run, new)
         if rng.random() < 0.5 and \
                 new not in binding.segment_regs(value, src_step):
             impl = _best_pt_choice(binding, rng, value, run[0], new,
@@ -367,8 +391,7 @@ def move_value_exchange(binding: Binding, rng: random.Random) -> bool:
         steps2 = binding.interval(v2).steps
         shared = sorted(set(steps1) & set(steps2))
         if shared:
-            for step in shared:
-                _swap_segments(binding, v1, v2, step)
+            _exchange_values(binding, v1, v2, shared)
             return True
         # disjoint lifetimes: swap home registers when both contiguous.
         # Both homes are checked before the first write; since the
@@ -385,12 +408,8 @@ def move_value_exchange(binding: Binding, rng: random.Random) -> bool:
             # pinned seeded trajectory (DESIGN.md §3.3)
             binding._xfer_cache = None
             continue
-        for step in steps1:
-            binding.set_placements(v1, step, (home2,))
-            fixup_segment(binding, v1, step)
-        for step in steps2:
-            binding.set_placements(v2, step, (home1,))
-            fixup_segment(binding, v2, step)
+        _place_run(binding, v1, steps1, home2)
+        _place_run(binding, v2, steps2, home1)
         return True
     return False
 
@@ -427,13 +446,7 @@ def move_value_move(binding: Binding, rng: random.Random) -> bool:
                 targets.append(reg)
         if not targets:
             continue
-        new = rng.choice(targets)
-        # drop all pass-throughs of this value first (no transfers remain)
-        for key in [k for k in binding.pt_impl if k[0] == value]:
-            binding.set_pt(key[0], key[1], key[2], None)
-        for step in steps:
-            binding.set_placements(value, step, (new,))
-            fixup_segment(binding, value, step)
+        _move_value(binding, value, steps, rng.choice(targets))
         return True
     return False
 

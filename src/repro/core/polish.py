@@ -47,7 +47,7 @@ from typing import (Callable, Dict, Iterator, List, Mapping, Optional,
 
 from repro.core.binding import Binding, PriceTerms
 from repro.core.moves import (MoveSet, _best_pt_choice, _direct_transfers,
-                              _swap_segments, fixup_segment)
+                              _exchange_values, _move_value, _place_run)
 from repro.verify.sanitizer import SanitizerError, sanitize_enabled
 
 #: a placement change: segment ``(value, step)`` -> its new registers
@@ -215,17 +215,6 @@ def _value_move_targets(binding: Binding
                         break
 
 
-def _move_value(binding: Binding, value: str, steps: Sequence[int],
-                reg: str) -> None:
-    """Apply an R4 candidate: drop the value's pass-throughs, place every
-    segment in *reg* alone and repair its sources."""
-    for key in [k for k in binding.pt_impl if k[0] == value]:
-        binding.set_pt(key[0], key[1], key[2], None)
-    for step in steps:
-        binding.set_placements(value, step, (reg,))
-        fixup_segment(binding, value, step)
-
-
 def _try_value_move(binding: Binding, value: str, steps: Sequence[int],
                     reg: str, current: float,
                     prices: Optional[_ReuseScope] = None) -> Optional[float]:
@@ -250,14 +239,6 @@ def sweep_value_moves(binding: Binding, current: float,
         if improved is not None:
             current = improved
     return current
-
-
-def _hop(binding: Binding, value: str, run: Sequence[int], reg: str) -> None:
-    """Apply an R2b candidate: place the suffix *run* in *reg* alone and
-    repair its sources."""
-    for step in run:
-        binding.set_placements(value, step, (reg,))
-        fixup_segment(binding, value, step)
 
 
 def _try_hop(binding: Binding, value: str, run: Sequence[int],
@@ -288,7 +269,7 @@ def _try_hop(binding: Binding, value: str, run: Sequence[int],
     if price >= current - 1e-9:
         return None
     binding.begin_move()
-    _hop(binding, value, run, reg)
+    _place_run(binding, value, run, reg)
     if impl is not None:
         binding.set_pt(value, dst_step, reg, impl)
     return _try(binding, current, prices)
@@ -302,7 +283,7 @@ def _try_hop_journaled(binding: Binding, value: str, run: Sequence[int],
     applying it: the repair may drop a pass-through, and the abort then
     reorders ``pt_impl`` in a way no price reproduces."""
     binding.begin_move()
-    _hop(binding, value, run, reg)
+    _place_run(binding, value, run, reg)
     if reg not in binding.segment_regs(value, src_step):
         hop_cost = binding.total_cost()
         impl = _best_pt_choice(binding, rng, value, run[0], reg, src_step)
@@ -370,14 +351,6 @@ def _exchange_pairs(binding: Binding) -> List[Tuple[str, str, List[int]]]:
                 shared.setdefault((i, j), []).append(step)
     return [(values[i], values[j], steps)
             for (i, j), steps in sorted(shared.items())]
-
-
-def _exchange_values(binding: Binding, v1: str, v2: str,
-                     shared: Sequence[int]) -> None:
-    """Apply an R3 candidate: swap the two values' placements at every
-    shared step."""
-    for step in shared:
-        _swap_segments(binding, v1, v2, step)
 
 
 def _exchanged_placements(binding: Binding, v1: str, v2: str,

@@ -276,6 +276,14 @@ def request_from_dict(data: Dict[str, Any]) -> AllocateRequest:
     if max_clock_ns is not None:
         max_clock_ns = float(_finite_number("max_clock_ns", max_clock_ns))
 
+    # a NaN deadline never fires, and bool("false") is True: the delivery
+    # options are checked like every other field.  "async" is read by the
+    # server and only checked here.
+    deadline_ms = data.get("deadline_ms")
+    if deadline_ms is not None:
+        _finite_number("deadline_ms", deadline_ms)
+    _flag("async", data.get("async", False))
+
     # The scheduler sizes its busy columns by the length and make_fus
     # builds one object per counted unit, so both are capped here, before
     # either runs.  A fully serial schedule (one op at a time, each
@@ -339,9 +347,9 @@ def request_from_dict(data: Dict[str, Any]) -> AllocateRequest:
             restarts=restarts,
             improve=_knobs(data, "improve"),
             anneal=_knobs(data, "anneal"),
-            deadline_ms=data.get("deadline_ms"),
-            warm_start=bool(data.get("warm_start", False)),
-            cache_ok=bool(data.get("cache", True)),
+            deadline_ms=deadline_ms,
+            warm_start=_flag("warm_start", data.get("warm_start", False)),
+            cache_ok=_flag("cache", data.get("cache", True)),
             max_clock_ns=max_clock_ns)
     except (ValueError, TypeError) as exc:
         raise RequestError(f"bad request field: {exc}") from None

@@ -104,9 +104,9 @@ QUEUED, RUNNING, DONE, FAILED, CANCELLED = \
 #: worker execution modes
 THREAD_MODE, PROCESS_MODE = "thread", "process"
 
-#: default propose/evaluate/rollback sampling density fed into the
-#: per-phase latency histograms (0 disables; sampling never changes
-#: search results, only telemetry)
+#: every job's propose/evaluate/rollback sampling density, fed into the
+#: per-phase latency histograms (sampling never changes search results,
+#: only telemetry)
 DEFAULT_PROFILE_EVERY = 64
 
 #: completed jobs retained for GET /jobs/<id> after they finish
@@ -224,13 +224,11 @@ class JobManager:
                  metrics: Optional[MetricsRegistry] = None,
                  workers: int = 2, queue_limit: int = 64,
                  max_attempts: int = 3,
-                 profile_every: int = DEFAULT_PROFILE_EVERY,
                  worker_mode: str = THREAD_MODE) -> None:
         self.cache = cache
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.max_attempts = max(1, max_attempts)
         self.queue_limit = max(1, queue_limit)
-        self.profile_every = profile_every
         self.workers = max(1, workers)
         self.worker_mode = resolve_worker_mode(worker_mode)
 
@@ -244,9 +242,11 @@ class JobManager:
 
         self._pool_lock = threading.Lock()
         self._signal_dir = tempfile.mkdtemp(prefix="repro-service-stop-")
-        # create the pool *before* the orchestrator threads exist: a
-        # process pool forks while this process is still single-threaded,
-        # which sidesteps forking-with-held-locks hazards
+        # a fork-context process pool forks no worker when it is built
+        # here: it forks all of them at its first submit, which comes from
+        # an orchestrator thread (_dispatch_restarts), and _ensure_pool
+        # builds any replacement pool from an orchestrator thread too, so
+        # workers are forked from a multi-threaded process
         self._pool: Optional[Executor] = self._new_pool()
 
         m = self.metrics
@@ -640,7 +640,7 @@ class JobManager:
                                  seed=rjob.configs[-1].seed,
                                  should_stop=stop, **request.anneal),)
         return tuple(replace(config, should_stop=stop,
-                             profile_every=self.profile_every)
+                             profile_every=DEFAULT_PROFILE_EVERY)
                      for config in rjob.configs)
 
     def _memo_schedule(self, shape_key: str) -> Optional[Schedule]:

@@ -81,8 +81,8 @@ class AllocationService:
         """Handle one ``POST /allocate`` body; returns (status, payload)."""
         self.metrics.counter("requests_allocate",
                              "POST /allocate requests").inc()
-        wants_async = bool(body.get("async", False))
         request = request_from_dict(body)
+        wants_async = body.get("async", False)
         try:
             job, cached = self.jobs.submit(request)
         except QueueFullError as exc:

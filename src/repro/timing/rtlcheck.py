@@ -21,7 +21,7 @@ output at once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.errors import DatapathError
 from repro.cdfg.interp import run_iterations
@@ -136,40 +136,17 @@ def roundtrip_binding(binding, name: str = "", family: str = "",
     return report
 
 
-def _allocate_scenario(scenario, budget=None, restarts: int = 2,
-                       method: str = "list") -> Tuple[Any, Any]:
-    """The bench sweep's deterministic pipeline, returning the binding."""
-    # deferred: repro.bench imports back into timing for the --timing sweep
-    from repro.bench.runner import FAST_BUDGET
-    from repro.core import SalsaAllocator
-    from repro.rng import SeedStream
-    from repro.sched.asap import asap_length
-    from repro.sched.explore import schedule_graph
-
-    graph = scenario.build()
-    spec = scenario.spec()
-    definition = scenario.definition
-    length = asap_length(graph, spec) + definition.length_slack
-    schedule = schedule_graph(graph, spec, length=length, method=method,
-                              label=scenario.name)
-    registers = schedule.min_registers() + definition.extra_registers
-    allocator = SalsaAllocator(
-        seed=SeedStream(scenario.seed).child(definition.fid, 0xB),
-        restarts=restarts, config=budget or FAST_BUDGET)
-    result = allocator.allocate(graph, schedule=schedule, spec=spec,
-                                registers=registers)
-    return graph, result.binding
-
-
 def roundtrip_family(family: str, seed: int = 0, iterations: int = 4,
                      budget=None, restarts: int = 2) -> RoundTripReport:
     """Allocate one zoo family's canonical scenario and round-trip it."""
+    # deferred: repro.bench imports back into timing for the --timing sweep
+    from repro.bench.runner import allocate_scenario
     from repro.bench.zoo import default_suite
 
     for scenario in default_suite(seed):
         if scenario.family == family:
-            _graph, binding = _allocate_scenario(
-                scenario, budget=budget, restarts=restarts)
+            binding = allocate_scenario(scenario, budget=budget,
+                                        restarts=restarts).binding
             return roundtrip_binding(binding, name=scenario.name,
                                      family=family, iterations=iterations,
                                      seed=seed)
@@ -181,14 +158,16 @@ def roundtrip_zoo(seed: int = 0, iterations: int = 4, budget=None,
                   families: Optional[List[str]] = None) \
         -> List[RoundTripReport]:
     """Round-trip every zoo family (or *families*); deterministic order."""
+    # deferred: repro.bench imports back into timing for the --timing sweep
+    from repro.bench.runner import allocate_scenario
     from repro.bench.zoo import default_suite
 
     reports: List[RoundTripReport] = []
     for scenario in default_suite(seed):
         if families is not None and scenario.family not in families:
             continue
-        _graph, binding = _allocate_scenario(scenario, budget=budget,
-                                             restarts=restarts)
+        binding = allocate_scenario(scenario, budget=budget,
+                                    restarts=restarts).binding
         reports.append(roundtrip_binding(
             binding, name=scenario.name, family=scenario.family,
             iterations=iterations, seed=seed))

@@ -82,7 +82,8 @@ class TestImproveCancellation:
             should_stop=CountdownStop(after=50)))
         assert stats.stopped_early
         from repro.core.improve import ImproveStats
-        reloaded = ImproveStats.from_json(stats.to_json())
+        from repro.io import stats_from_json, stats_to_json
+        [reloaded] = stats_from_json(stats_to_json([stats]))
         assert reloaded.stopped_early
         # payloads missing the field (pre-service telemetry) default False
         legacy = stats.to_dict()

@@ -13,6 +13,7 @@ from repro.sched.explore import schedule_graph
 from repro.core import (AnnealConfig, ImproveConfig, MoveSet, anneal,
                         improve, initial_allocation, polish)
 from repro.core.improve import ImproveStats
+from repro.io import stats_from_json, stats_to_json
 from repro.alloc.checker import check_binding
 
 SPEC = HardwareSpec.non_pipelined()
@@ -246,7 +247,7 @@ class TestStatsCompat:
         assert stats.seed is None
         assert stats.phase_ns == {}
         # and the loaded object round-trips through the modern serializer
-        again = ImproveStats.from_json(stats.to_json())
+        [again] = stats_from_json(stats_to_json([stats]))
         assert again.to_dict() == stats.to_dict()
 
 

@@ -16,12 +16,12 @@ from repro.sched.asap import asap_length
 from repro.sched.explore import schedule_graph
 from repro.core import polish
 from repro.core.initial import initial_allocation
-from repro.core.moves import MoveSet, _best_pt_choice
+from repro.core.moves import (MoveSet, _best_pt_choice, _exchange_values,
+                              _move_value, _place_run)
 from repro.core import polish as polish_mod
 from repro.core.improve import ImproveConfig, improve
-from repro.core.polish import (_exchange_pairs, _exchange_values,
-                               _exchanged_placements, _hop, _hop_targets,
-                               _move_value, _try_exchange, _try_hop,
+from repro.core.polish import (_exchange_pairs, _exchanged_placements,
+                               _hop_targets, _try_exchange, _try_hop,
                                _try_value_move, _value_move_targets,
                                sweep_fu_moves, sweep_operand_swaps,
                                sweep_passthroughs, sweep_read_sources,
@@ -189,6 +189,12 @@ def _has_pt(binding, value):
     return any(key[0] == value for key in binding.pt_impl)
 
 
+def _price(binding, changes):
+    """Total cost after *changes*, unapplied, or ``None`` if unpriceable."""
+    terms = binding.placement_terms(changes)
+    return None if terms is None else binding.price_of(terms[0])
+
+
 def _check_candidates(ref, live, counts):
     """Walk every R4, R3 then R2b candidate on two identical bindings.
 
@@ -215,7 +221,7 @@ def _check_candidates(ref, live, counts):
 
     current = live.total_cost()
     for value, steps, reg in _value_move_targets(live):
-        price = live.price_placements({(value, s): (reg,) for s in steps})
+        price = _price(live, {(value, s): (reg,) for s in steps})
         kept = reference(lambda b: _move_value(b, value, steps, reg),
                          price, current)
         assert _try_value_move(live, value, steps, reg, current) == kept
@@ -224,8 +230,7 @@ def _check_candidates(ref, live, counts):
             current = kept
         assert _observed(live) == _observed(ref)
     for v1, v2, shared in _exchange_pairs(live):
-        price = live.price_placements(
-            _exchanged_placements(live, v1, v2, shared))
+        price = _price(live, _exchanged_placements(live, v1, v2, shared))
         kept = reference(lambda b: _exchange_values(b, v1, v2, shared),
                          price, current)
         assert _try_exchange(live, v1, v2, shared, current) == kept
@@ -257,7 +262,7 @@ def _check_hops(ref, live, counts, current):
             had_pt = _has_pt(live, value)
             assert (terms is None) == had_pt
             ref.begin_move()
-            _hop(ref, value, run, reg)
+            _place_run(ref, value, run, reg)
             real = ref.total_cost()
             if terms is None:
                 counts["unpriced"] += 1
@@ -323,7 +328,7 @@ def test_passthrough_price_on_an_idle_fu_matches_applied(weights):
             price = binding.price_passthrough(terms, value, run[0], reg,
                                               impl)
             binding.begin_move()
-            _hop(binding, value, run, reg)
+            _place_run(binding, value, run, reg)
             binding.set_pt(value, run[0], reg, impl)
             assert price == binding.total_cost()
             areas.add(binding.fu_used_area())

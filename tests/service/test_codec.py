@@ -122,6 +122,13 @@ def test_job_id_is_deterministic_and_short():
     ({"cdfg": {"bench": "ewf"}, "seed": "7"}, "seed"),
     ({"cdfg": {"bench": "ewf"}, "seed": 7.0}, "seed"),
     ({"cdfg": {"bench": "ewf"}, "seed": True}, "seed"),
+    # delivery options: a NaN deadline never fires, true was a 1 ms
+    # deadline, and bool() made each of these strings true
+    ({"cdfg": {"bench": "ewf"}, "deadline_ms": float("nan")}, "deadline_ms"),
+    ({"cdfg": {"bench": "ewf"}, "deadline_ms": True}, "deadline_ms"),
+    ({"cdfg": {"bench": "ewf"}, "cache": "false"}, "cache"),
+    ({"cdfg": {"bench": "ewf"}, "warm_start": "false"}, "warm_start"),
+    ({"cdfg": {"bench": "ewf"}, "async": "false"}, "async"),
 ])
 def test_bad_requests_are_rejected(body, phrase):
     with pytest.raises(RequestError, match=phrase):

@@ -124,6 +124,15 @@ def test_non_finite_max_clock_is_400(service_url):
     assert "max_clock_ns" in str(excinfo.value)
 
 
+def test_non_boolean_async_is_400(service_url):
+    """``bool("false")`` is True: this body used to be answered 202."""
+    client = ServiceClient(service_url)
+    with pytest.raises(ServiceError) as excinfo:
+        client.allocate(dict(FAST_BODY, **{"async": "false"}))
+    assert excinfo.value.status == 400
+    assert "async" in str(excinfo.value)
+
+
 def test_non_integer_length_is_400(service_url):
     client = ServiceClient(service_url)
     with pytest.raises(ServiceError) as excinfo:
