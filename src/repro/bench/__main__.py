@@ -1,8 +1,8 @@
 """``python -m repro.bench`` — sweep the scenario zoo.
 
 Runs zoo scenarios through the full schedule → SALSA binding → checker
-pipeline and prints a per-scenario cost / moves-per-second table, plus a
-machine-readable JSON report.  ``--check`` re-runs the scenarios recorded
+pipeline and prints a per-scenario cost table, plus a machine-readable
+JSON report.  ``--check`` re-runs the scenarios recorded
 in the committed golden file (``results/bench_zoo.json``) and gates the
 deterministic quality numbers against it; ``--write-golden`` refreshes
 the file after an intentional change.
@@ -13,7 +13,6 @@ Examples::
     python -m repro.bench --list                # show families
     python -m repro.bench --families fft,fir --seed 3
     python -m repro.bench --check               # golden gate (CI)
-    python -m repro.bench --check --min-moves-per-sec 500
     python -m repro.bench --timing              # add clock_ns/depth columns
     python -m repro.bench --timing --check      # exact clock-period gate
     python -m repro.bench --write-golden        # refresh the goldens
@@ -86,8 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"golden file path (default {GOLDEN_PATH})")
     parser.add_argument("--tolerance", type=float, default=0.0,
                         help="relative cost tolerance for --check")
-    parser.add_argument("--min-moves-per-sec", type=float, default=None,
-                        help="generous throughput floor for --check")
     parser.add_argument("--write-golden", action="store_true",
                         help="refresh the golden file from this sweep")
     return parser
@@ -169,8 +166,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                   f"{golden.get('method')!r}; rerun with matching flags "
                   f"or --write-golden", file=sys.stderr)
             return 2
-        problems = check_rows(rows, golden, tolerance=args.tolerance,
-                              min_moves_per_sec=args.min_moves_per_sec)
+        problems = check_rows(rows, golden, tolerance=args.tolerance)
         if problems:
             print(f"\n--check FAILED ({len(problems)} problem(s)):",
                   file=sys.stderr)

@@ -3,11 +3,11 @@
 One :func:`run_scenario` call is the whole pipeline for one scenario:
 build the CDFG, schedule it against the family's hardware spec, allocate
 with the extended binding model, then re-verify the winning binding with
-the independent legality checker.  The result row carries both the
-*quality* numbers (mux count, weighted cost — deterministic for a given
-scenario triple and budget, which is what the committed goldens pin) and
-the *throughput* numbers (moves/second — machine-dependent, reported for
-trend-watching but never gated exactly).
+the independent legality checker.  The result row carries the
+*quality* numbers only (mux count, weighted cost, analyzed clock period —
+deterministic for a given scenario triple and budget, which is what the
+committed goldens pin).  Throughput is perfbench's to measure: its
+``zoo-pipeline`` workload times these same nine families.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import os
 import platform
-import time
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -53,21 +52,13 @@ class ScenarioRow:
     mux_count: int
     cost_total: float
     checker_violations: int
-    moves: int
-    seconds: float
     #: filled by a ``--timing`` sweep (None otherwise, omitted from dicts
     #: so pre-timing goldens and reports keep their exact shape)
     clock_period_ns: Optional[float] = None
     mux_depth_max: Optional[int] = None
 
-    @property
-    def moves_per_sec(self) -> float:
-        return self.moves / self.seconds if self.seconds > 0 else 0.0
-
     def to_dict(self) -> Dict[str, Any]:
         data = asdict(self)
-        data["moves_per_sec"] = round(self.moves_per_sec, 1)
-        data["seconds"] = round(self.seconds, 4)
         data["cost_total"] = round(self.cost_total, 6)
         if self.clock_period_ns is None:
             del data["clock_period_ns"]
@@ -113,9 +104,7 @@ def run_scenario(scenario: Scenario,
     the static timing analyzer (:mod:`repro.timing.sta`) and the row gains
     deterministic ``clock_period_ns`` / ``mux_depth_max`` columns.
     """
-    started = time.perf_counter()
     result = allocate_scenario(scenario, budget, restarts, method)
-    seconds = time.perf_counter() - started
     # allocate() already asserts legality; run the checker once more so a
     # sweep explicitly exercises the verification stage per scenario
     violations = check_binding(result.binding)
@@ -137,8 +126,6 @@ def run_scenario(scenario: Scenario,
         mux_count=result.cost.mux_count,
         cost_total=result.cost.total,
         checker_violations=len(violations),
-        moves=sum(s.moves_attempted for s in result.stats),
-        seconds=seconds,
         clock_period_ns=clock_period_ns,
         mux_depth_max=mux_depth_max,
     )
@@ -159,8 +146,7 @@ def run_suite(scenarios: Iterable[Scenario],
 _COLUMNS: Sequence[Tuple[str, str]] = (
     ("scenario", "scenario"), ("ops", "ops"), ("csteps", "steps"),
     ("fus", "FUs"), ("registers", "regs"), ("mux_count", "mux"),
-    ("cost_total", "cost"), ("moves_per_sec", "moves/s"),
-    ("seconds", "sec"),
+    ("cost_total", "cost"),
 )
 
 #: appended after ``cost`` when the sweep ran with timing analysis
@@ -169,18 +155,11 @@ _TIMING_COLUMNS: Sequence[Tuple[str, str]] = (
 )
 
 
-def _columns_for(rows: Sequence[ScenarioRow]) -> Sequence[Tuple[str, str]]:
-    if any(row.clock_period_ns is not None for row in rows):
-        head = [c for c in _COLUMNS if c[0] not in ("moves_per_sec",
-                                                    "seconds")]
-        tail = [c for c in _COLUMNS if c[0] in ("moves_per_sec", "seconds")]
-        return tuple(head) + tuple(_TIMING_COLUMNS) + tuple(tail)
-    return _COLUMNS
-
-
 def render_table(rows: Sequence[ScenarioRow]) -> str:
     """Fixed-width sweep table (also valid GitHub-flavoured markdown)."""
-    columns = _columns_for(rows)
+    columns = _COLUMNS
+    if any(row.clock_period_ns is not None for row in rows):
+        columns = tuple(_COLUMNS) + tuple(_TIMING_COLUMNS)
     cells = [[header for _, header in columns]]
     for row in rows:
         data = row.to_dict()
@@ -193,10 +172,6 @@ def render_table(rows: Sequence[ScenarioRow]) -> str:
                 rendered.append(f"{value:.2f}")
             elif key == "clock_period_ns":
                 rendered.append(f"{value:.3f}")
-            elif key == "moves_per_sec":
-                rendered.append(f"{value:.0f}")
-            elif key == "seconds":
-                rendered.append(f"{value:.2f}")
             else:
                 rendered.append(str(value))
         cells.append(rendered)
@@ -255,15 +230,11 @@ def load_golden(path: str = GOLDEN_PATH) -> Dict[str, Any]:
 
 
 def check_rows(rows: Sequence[ScenarioRow], golden: Dict[str, Any],
-               tolerance: float = 0.0,
-               min_moves_per_sec: Optional[float] = None) -> List[str]:
+               tolerance: float = 0.0) -> List[str]:
     """Compare a fresh sweep against a golden document.
 
     Structural fields and mux counts must match exactly; the weighted cost
-    is gated within *tolerance* (relative).  *min_moves_per_sec*, when
-    given, is a deliberately generous smoke floor — it catches an
-    order-of-magnitude throughput regression without flaking on machine
-    noise.
+    is gated within *tolerance* (relative).
     """
     problems: List[str] = []
     fresh = {row.scenario: row for row in rows}
@@ -296,11 +267,6 @@ def check_rows(rows: Sequence[ScenarioRow], golden: Dict[str, Any],
                 problems.append(
                     f"{name}: mux_depth_max = {got.get('mux_depth_max')!r}, "
                     f"golden {want['mux_depth_max']!r}")
-        if min_moves_per_sec is not None \
-                and row.moves_per_sec < min_moves_per_sec:
-            problems.append(
-                f"{name}: {row.moves_per_sec:.0f} moves/s below floor "
-                f"{min_moves_per_sec:g}")
     extra = sorted(set(fresh) - set(golden["rows"]))
     for name in extra:
         problems.append(f"{name}: not in golden file (refresh with "

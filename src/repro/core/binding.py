@@ -1130,9 +1130,9 @@ class Binding:
         """A fresh binding holding the decisions of *state*.
 
         *state* is any name-keyed snapshot: a :meth:`clone_state` of any
-        binding (pickled or not), a decoded
-        :func:`~repro.verify.sanitizer.decode_state` dict, or the
-        sections :func:`~repro.io.json_io.binding_from_json` parses.  Its
+        binding (pickled or not), or the decision sections of a binding
+        document decoded by :func:`~repro.core.snapshot.state_from_dict`
+        (a binding file, a warm-store blob, a sanitizer reproducer).  Its
         six sections are written through the primitives in snapshot
         order — ``op_fu``, ``placements``, ``op_swap``, ``read_src``,
         ``out_src``, ``pt_impl`` — and then flushed, so every derived

@@ -116,15 +116,10 @@ class MoveCounters:
 def _cost_to_dict(cost: Optional[CostBreakdown]) -> Optional[Dict[str, Any]]:
     if cost is None:
         return None
-    w = cost.weights
-    weights = {"fu": w.fu, "register": w.register,
-               "mux": w.mux, "wire": w.wire}
-    if w.latency:
-        weights["latency"] = w.latency
     return {"fu_count": cost.fu_count, "fu_area": cost.fu_area,
             "register_count": cost.register_count,
             "mux_count": cost.mux_count, "wire_count": cost.wire_count,
-            "mux_depth": cost.mux_depth, "weights": weights}
+            "mux_depth": cost.mux_depth, "weights": cost.weights.to_dict()}
 
 
 def _cost_from_dict(data: Optional[Dict[str, Any]]) \
@@ -287,7 +282,7 @@ class MoveLoop:
         self.current = cost
         if cost < self.best - 1e-9:
             self.best = cost
-            self.best_state = self.binding.clone_state()
+            self.best_snapshot = self.binding.clone_state()
             self.stats.best_trace.append((index, cost))
             return True
         return False
@@ -295,7 +290,7 @@ class MoveLoop:
     def restore_best(self) -> None:
         """Return the binding to the best state seen so far."""
         tick = time.perf_counter_ns()
-        self.binding.restore_state(self.best_state)
+        self.binding.restore_state(self.best_snapshot)
         if self.profile_every:
             self.stats.add_phase("restore", time.perf_counter_ns() - tick)
         self.current = self.best
@@ -406,7 +401,7 @@ class MoveLoop:
         stats.per_move_accepts = {name: c.accepts
                                   for name, c in sorted(counters.items())
                                   if c.accepts}
-        self.binding.restore_state(self.best_state)
+        self.binding.restore_state(self.best_snapshot)
         self.check()
         stats.final_cost = self.binding.cost()
         stats.seconds = time.perf_counter() - self.started
@@ -439,7 +434,7 @@ def improve(binding: Binding,
         with loop.trial():
             if config.restore_churn > 0 and trial % config.restore_churn == 0:
                 churn_snap = binding.clone_state()
-                binding.restore_state(loop.best_state)
+                binding.restore_state(loop.best_snapshot)
                 binding.restore_state(churn_snap)
                 loop.check()
             if config.restart_from_best and loop.current > loop.best + 1e-9:

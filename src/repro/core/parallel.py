@@ -128,10 +128,11 @@ class RestartJob:
     configs: Tuple[Union[ImproveConfig, AnnealConfig], ...]
     weights: CostWeights = CostWeights()
     allow_split: bool = True
-    #: optional decision-state snapshot (``Binding.clone_state`` or a
-    #: decoded ``encode_state`` dict) the restart starts from instead of
-    #: the constructive initial allocation, loaded with
-    #: :meth:`Binding.from_state` — the warm-start seam used by
+    #: optional decision-state snapshot (``Binding.clone_state``, or
+    #: ``state_from_dict`` of a binding document's decision sections) the
+    #: restart starts from instead of the constructive initial
+    #: allocation, loaded with :meth:`Binding.from_state` — the
+    #: warm-start seam used by
     #: ``repro.service`` to reuse a cached allocation of the same problem
     #: shape.  A :class:`~repro.core.snapshot.BindingState` pickles as its
     #: six decision dicts, without its derived state.

@@ -1,11 +1,15 @@
-"""Snapshots of the binding decision state.
+"""Snapshots of the binding decision state, and their one wire form.
 
 :meth:`repro.core.binding.Binding.clone_state` returns a
 :class:`BindingState`: copies of the six name-keyed decision dicts, keyed
 by section (``state["op_fu"]`` etc.), so it compares, encodes
-(:func:`repro.verify.sanitizer.encode_state`) and loads
+(:func:`state_to_dict`) and loads
 (:meth:`~repro.core.binding.Binding.from_state`) like the plain dict
 snapshot it is.  Each copy keeps the live dict's iteration order.
+
+:func:`state_to_dict` / :func:`state_from_dict` are the only JSON codec
+of the six sections: the decision part of a binding document, every
+section sorted, so a decoded state loads in sorted-segment order.
 
 A snapshot cloned from a live binding also carries a
 :class:`DerivedSnapshot` — shallow copies of the incrementally-maintained
@@ -21,7 +25,7 @@ which keeps the referee independent of the live derived state.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 
 class DerivedSnapshot:
@@ -75,3 +79,51 @@ class BindingState(dict):
         # that made the snapshot, and no binding identity survives a
         # process boundary — ship just the decisions
         return (BindingState, (dict(self),))
+
+
+#: the keys of the decision sections in a binding document
+#: (``passthroughs`` encodes the snapshot's ``pt_impl``)
+DOCUMENT_SECTIONS = ("op_fu", "op_swap", "placements", "read_src",
+                     "out_src", "passthroughs")
+
+
+def state_to_dict(state: Mapping[str, Mapping]) -> Dict[str, Any]:
+    """The JSON-able decision sections of a binding document.
+
+    *state* maps each section name to its decision dict: a
+    :class:`BindingState`, or a binding's live dicts.  Every section is
+    emitted in sorted order and ``op_swap`` lists reversed operations
+    only, so equal decisions encode identically.
+    """
+    return {
+        "op_fu": dict(sorted(state["op_fu"].items())),
+        "op_swap": {k: v for k, v in sorted(state["op_swap"].items()) if v},
+        "placements": [
+            {"value": value, "step": step, "regs": list(regs)}
+            for (value, step), regs in sorted(state["placements"].items())],
+        "read_src": [
+            {"op": op, "port": port, "reg": reg}
+            for (op, port), reg in sorted(state["read_src"].items())],
+        "out_src": dict(sorted(state["out_src"].items())),
+        "passthroughs": [
+            {"value": v, "dst_step": s, "dst_reg": r,
+             "src_reg": impl[0], "fu": impl[1], "port": impl[2]}
+            for (v, s, r), impl in sorted(state["pt_impl"].items())],
+    }
+
+
+def state_from_dict(data: Mapping[str, Any]) -> Dict[str, Dict]:
+    """Inverse of :func:`state_to_dict`: a name-keyed snapshot to load
+    with ``Binding.from_state``, each section in document order."""
+    return {
+        "op_fu": dict(data["op_fu"]),
+        "op_swap": dict(data["op_swap"]),
+        "placements": {(entry["value"], entry["step"]): tuple(entry["regs"])
+                       for entry in data["placements"]},
+        "read_src": {(entry["op"], entry["port"]): entry["reg"]
+                     for entry in data["read_src"]},
+        "out_src": dict(data["out_src"]),
+        "pt_impl": {(entry["value"], entry["dst_step"], entry["dst_reg"]):
+                    (entry["src_reg"], entry["fu"], entry["port"])
+                    for entry in data["passthroughs"]},
+    }

@@ -13,6 +13,7 @@ fewer physical connections.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Dict
 
 
 @dataclass(frozen=True)
@@ -24,6 +25,19 @@ class CostWeights:
     mux: float = 1.0        # per equivalent 2-1 multiplexer
     wire: float = 0.05      # per distinct point-to-point connection
     latency: float = 0.0    # per mux-tree level summed over sinks
+
+    def to_dict(self) -> Dict[str, float]:
+        """JSON-able weights; ``CostWeights(**d)`` decodes them.
+
+        A zero latency weight is the pre-timing cost function, so its key
+        is omitted: request keys, binding documents and stats that predate
+        the knob stay byte-identical.
+        """
+        payload = {"fu": self.fu, "register": self.register,
+                   "mux": self.mux, "wire": self.wire}
+        if self.latency:
+            payload["latency"] = self.latency
+        return payload
 
 
 def weighted_total(weights: CostWeights, fu_area: float,

@@ -38,6 +38,7 @@ from repro.datapath.units import FU, FUType, HardwareSpec, Register
 from repro.sched.schedule import Schedule
 from repro.core.binding import Binding
 from repro.core.improve import ImproveStats
+from repro.core.snapshot import state_from_dict, state_to_dict
 
 FORMAT_VERSION = 1
 
@@ -174,38 +175,24 @@ def schedule_from_json(text: str) -> Schedule:
 # ---------------------------------------------------------------- binding
 
 def binding_to_dict(binding: Binding) -> Dict[str, Any]:
-    """Canonical JSON-able encoding of a complete allocation."""
-    weights: Dict[str, float] = {
-        "fu": binding.weights.fu,
-        "register": binding.weights.register,
-        "mux": binding.weights.mux,
-        "wire": binding.weights.wire,
-    }
-    # omitted when zero so pre-timing documents stay byte-identical
-    if binding.weights.latency:
-        weights["latency"] = binding.weights.latency
-    return {
+    """Canonical JSON-able encoding of a complete allocation: the
+    problem, then the decision sections of
+    :func:`repro.core.snapshot.state_to_dict`."""
+    document: Dict[str, Any] = {
         "format": FORMAT_VERSION,
         "type": "binding",
         "schedule": schedule_to_dict(binding.schedule),
         "fus": [{"name": f.name, "type": f.type_name}
                 for _, f in sorted(binding.fus.items())],
         "registers": sorted(binding.regs),
-        "weights": weights,
-        "op_fu": dict(sorted(binding.op_fu.items())),
-        "op_swap": {k: v for k, v in sorted(binding.op_swap.items()) if v},
-        "placements": [
-            {"value": value, "step": step, "regs": list(regs)}
-            for (value, step), regs in sorted(binding.placements.items())],
-        "read_src": [
-            {"op": op, "port": port, "reg": reg}
-            for (op, port), reg in sorted(binding.read_src.items())],
-        "out_src": dict(sorted(binding.out_src.items())),
-        "passthroughs": [
-            {"value": v, "dst_step": s, "dst_reg": r,
-             "src_reg": impl[0], "fu": impl[1], "port": impl[2]}
-            for (v, s, r), impl in sorted(binding.pt_impl.items())],
+        "weights": binding.weights.to_dict(),
     }
+    # the live decision dicts, read in place (no clone_state copy)
+    document.update(state_to_dict({
+        "op_fu": binding.op_fu, "op_swap": binding.op_swap,
+        "placements": binding.placements, "read_src": binding.read_src,
+        "out_src": binding.out_src, "pt_impl": binding.pt_impl}))
+    return document
 
 
 def binding_to_json(binding: Binding) -> str:
@@ -220,23 +207,8 @@ def binding_from_json(text: str) -> Binding:
     spec = schedule.spec
     fus = [FU(f["name"], spec.type_named(f["type"])) for f in data["fus"]]
     regs = [Register(name) for name in data["registers"]]
-    w = data["weights"]
-    state = {
-        "op_fu": data["op_fu"],
-        "placements": {(entry["value"], entry["step"]): tuple(entry["regs"])
-                       for entry in data["placements"]},
-        "op_swap": data["op_swap"],
-        "read_src": {(entry["op"], entry["port"]): entry["reg"]
-                     for entry in data["read_src"]},
-        "out_src": data["out_src"],
-        "pt_impl": {(entry["value"], entry["dst_step"], entry["dst_reg"]):
-                    (entry["src_reg"], entry["fu"], entry["port"])
-                    for entry in data["passthroughs"]},
-    }
-    return Binding.from_state(
-        schedule, fus, regs, state,
-        CostWeights(fu=w["fu"], register=w["register"], mux=w["mux"],
-                    wire=w["wire"], latency=w.get("latency", 0.0)))
+    return Binding.from_state(schedule, fus, regs, state_from_dict(data),
+                              CostWeights(**data["weights"]))
 
 
 # ------------------------------------------------------------ delay spec

@@ -31,10 +31,12 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.cdfg.graph import CDFG
+from repro.core.anneal import AnnealConfig
+from repro.core.improve import ImproveConfig
 from repro.datapath.cost import CostWeights
 from repro.datapath.units import HardwareSpec
 from repro.io.json_io import (canonical_dumps, cdfg_from_json, cdfg_to_dict,
@@ -67,6 +69,24 @@ _BENCH_BUILDERS = {
 #: needs 13 restarts on EWF at 19 steps for a 90% chance of coming within
 #: one cost unit of the best; 64 is about five times that.
 MAX_RESTARTS = 64
+
+#: most moves one search pass may ask for, as a multiple of its engine's
+#: default budget.  A pass spends rounds x moves per round: improve's
+#: trials x moves per trial, anneal's levels x moves per level, both
+#: 36,000 moves by default.  With no deadline a request holds a pool
+#: worker for its restarts x that budget, so the budget is capped like
+#: the restarts, before anything runs.  Every study in the repository
+#: asks for at most the default (the full Table 2/3 runs and the anneal
+#: ablation spend at most 12 x 800 = 9,600 moves a pass), so ten times
+#: it leaves room for a deliberately long run, while the worst request
+#: is bounded at MAX_RESTARTS x 360,000 moves.
+MAX_BUDGET_FACTOR = 10
+
+#: engine -> its default config and the two knobs whose product is the
+#: move budget of one pass
+_BUDGET_KNOBS: Dict[str, Tuple[Any, str, str]] = {
+    "improve": (ImproveConfig(), "max_trials", "moves_per_trial"),
+    "anneal": (AnnealConfig(), "temperature_levels", "moves_per_level")}
 
 
 class RequestError(ReproError):
@@ -225,6 +245,20 @@ def _knobs(data: Dict[str, Any], engine: str) -> Dict[str, Any]:
     return dict(knobs)
 
 
+def _check_budget(engine: str, knobs: Dict[str, Any]) -> None:
+    """Reject a pass over :data:`MAX_BUDGET_FACTOR` x the default budget
+    (an absent knob counts at its default)."""
+    default, rounds, per_round = _BUDGET_KNOBS[engine]
+    budget = knobs.get(rounds, getattr(default, rounds)) * \
+        knobs.get(per_round, getattr(default, per_round))
+    most = MAX_BUDGET_FACTOR * getattr(default, rounds) * \
+        getattr(default, per_round)
+    if budget > most:
+        raise RequestError(
+            f"bad {engine} budget: {rounds} x {per_round} is {budget} "
+            f"moves, over {most} ({MAX_BUDGET_FACTOR}x the default)")
+
+
 def request_from_dict(data: Dict[str, Any]) -> AllocateRequest:
     """Decode an HTTP request body into an :class:`AllocateRequest`."""
     if not isinstance(data, dict):
@@ -335,7 +369,7 @@ def request_from_dict(data: Dict[str, Any]) -> AllocateRequest:
         raise RequestError(f"bad restarts: {restarts} is over "
                            f"{MAX_RESTARTS}")
     try:
-        return AllocateRequest(
+        request = AllocateRequest(
             graph=graph, spec=spec,
             model=data.get("model", "salsa"),
             engine=data.get("engine", "improve"),
@@ -353,19 +387,13 @@ def request_from_dict(data: Dict[str, Any]) -> AllocateRequest:
             max_clock_ns=max_clock_ns)
     except (ValueError, TypeError) as exc:
         raise RequestError(f"bad request field: {exc}") from None
+    # the knob values passed their checks above, so each is an int
+    _check_budget("improve", request.improve)
+    _check_budget("anneal", request.anneal)
+    return request
 
 
 # ----------------------------------------------------------------- encode
-
-def _weights_to_dict(weights: CostWeights) -> Dict[str, float]:
-    payload = {"fu": weights.fu, "register": weights.register,
-               "mux": weights.mux, "wire": weights.wire}
-    # a zero latency weight is the pre-timing cost function: omit the key
-    # so every request that predates the knob hashes to its old cache key
-    if weights.latency:
-        payload["latency"] = weights.latency
-    return payload
-
 
 def _shape_payload(request: AllocateRequest) -> Dict[str, Any]:
     """The problem-shape identity shared by :func:`warm_key`."""
@@ -378,7 +406,7 @@ def _shape_payload(request: AllocateRequest) -> Dict[str, Any]:
         "fu_counts": dict(sorted(request.fu_counts.items()))
         if request.fu_counts is not None else None,
         "registers": request.registers,
-        "weights": _weights_to_dict(request.weights),
+        "weights": request.weights.to_dict(),
     }
 
 

@@ -53,10 +53,12 @@ trajectory); that answer is not the one the request's seed names, so,
 like a degraded one, it stays out of the exact-key cache.  Deterministic
 :class:`~repro.errors.ReproError`\\ s fail immediately.
 
-Warm starts: every successful job publishes its winning decision-state
-snapshot under ``warm_<shape-key>``; a request with ``warm_start: true``
-whose exact key misses but whose shape key hits starts every restart from
-that snapshot (``Binding.from_state``) instead of the constructive initial
+Warm starts: every successful job publishes its winning decisions under
+``warm_<shape-key>``: the decision sections of the binding document its
+reply carries, so the search encodes its answer once and the reply holds
+it once.  A request with ``warm_start: true`` whose exact key misses but
+whose shape key hits starts every restart from that snapshot
+(``Binding.from_state``) instead of the constructive initial
 allocation.  Warm-started results are themselves kept out of the
 exact-key cache, because their content depends on what happened to be in
 the warm store.
@@ -85,12 +87,12 @@ from repro.core.moves import MoveSet
 from repro.core.parallel import (RestartJob, RestartOutcome, StopSignal,
                                  _fork_context, best_outcome,
                                  rebuild_binding, run_restart)
+from repro.core.snapshot import DOCUMENT_SECTIONS, state_from_dict
 from repro.rng import SeedStream
 from repro.sched.schedule import Schedule
 from repro.io.json_io import binding_to_dict, canonical_dumps
 from repro.verify.classify import is_retryable
-from repro.verify.sanitizer import SanitizerError, decode_state, \
-    encode_state
+from repro.verify.sanitizer import SanitizerError
 from repro.analysis.stats import telemetry_report
 from repro.service.cache import TieredCache
 from repro.service.codec import (AllocateRequest, job_id_for, request_key,
@@ -115,9 +117,10 @@ RETAINED_JOBS = 1024
 #: memoized schedule resolutions kept per manager (keyed by shape key)
 SCHEDULE_MEMO_SIZE = 32
 
-#: format marker of a warm-store snapshot; a blob with any other marker
+#: format marker of a warm-store snapshot, whose ``state`` is the decision
+#: sections of the reply's binding document; a blob with any other marker
 #: (or none) is a cold start
-WARM_FORMAT = "binding-state-v2"
+WARM_FORMAT = "binding-state-v3"
 
 
 class QueueFullError(ReproError):
@@ -169,9 +172,10 @@ class Job:
     deadline_mono: Optional[float] = None
     done_event: threading.Event = field(default_factory=threading.Event)
     cancel_event: threading.Event = field(default_factory=threading.Event)
-    #: warm snapshot of the winning state (``encode_state`` under
-    #: :data:`WARM_FORMAT`, as canonical JSON), published to the warm
-    #: store when the job finishes; internal, never in ``describe()``
+    #: warm snapshot of the winning state (the decision sections of the
+    #: reply's binding document under :data:`WARM_FORMAT`, as canonical
+    #: JSON), published to the warm store when the job finishes;
+    #: internal, never in ``describe()``
     warm_payload: Optional[bytes] = field(default=None, repr=False)
 
     def wait(self, timeout: Optional[float] = None) -> bool:
@@ -620,7 +624,7 @@ class JobManager:
         try:
             data = json.loads(payload.decode("utf-8"))
             if isinstance(data, dict) and data.get("format") == WARM_FORMAT:
-                return decode_state(data["state"])
+                return state_from_dict(data["state"])
         except (ValueError, KeyError, TypeError):
             pass
         return None  # torn or foreign snapshot: fall back to a cold start
@@ -684,9 +688,11 @@ class JobManager:
         binding = rebuild_binding(restart_jobs[best.index], best)
         # even a degraded best-so-far answer must be a *legal* allocation
         assert_legal(binding)
-        best_state = encode_state(binding.clone_state())
-        job.warm_payload = canonical_dumps(
-            {"format": WARM_FORMAT, "state": best_state}).encode("utf-8")
+        document = binding_to_dict(binding)
+        job.warm_payload = canonical_dumps({
+            "format": WARM_FORMAT,
+            "state": {key: document[key] for key in DOCUMENT_SECTIONS},
+        }).encode("utf-8")
 
         all_stats: List[ImproveStats] = \
             [s for outcome in outcomes for s in outcome.stats]
@@ -724,8 +730,7 @@ class JobManager:
             "restarts_run": len(outcomes),
             "best_restart": best.index,
             "cost": self._cost_to_dict(best.cost),
-            "binding": binding_to_dict(binding),
-            "best_state": best_state,
+            "binding": document,
             "telemetry": telemetry_report(all_stats),
             "search_seconds": sum(o.seconds for o in outcomes),
         }

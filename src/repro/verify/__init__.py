@@ -36,8 +36,7 @@ from typing import TYPE_CHECKING
 from repro.verify.classify import (FATAL, RETRYABLE, classify_failure,
                                    is_retryable)
 from repro.verify.sanitizer import (SANITIZE_ENV, SanitizerError,
-                                    ShadowSanitizer, decode_state,
-                                    encode_state, make_sanitizer,
+                                    ShadowSanitizer, make_sanitizer,
                                     sanitize_enabled)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -47,9 +46,8 @@ _LAZY_SUBMODULES = ("corpus", "fuzz", "shrink")
 
 __all__ = [
     "FATAL", "RETRYABLE", "SANITIZE_ENV", "SanitizerError",
-    "ShadowSanitizer", "classify_failure", "corpus", "decode_state",
-    "encode_state", "fuzz", "is_retryable", "make_sanitizer",
-    "sanitize_enabled", "shrink",
+    "ShadowSanitizer", "classify_failure", "corpus", "fuzz",
+    "is_retryable", "make_sanitizer", "sanitize_enabled", "shrink",
 ]
 
 

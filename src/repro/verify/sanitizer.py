@@ -48,48 +48,15 @@ def sanitize_enabled(flag: bool = False) -> bool:
     return os.environ.get(SANITIZE_ENV, "").strip().lower() not in _FALSY
 
 
-# ------------------------------------------------------------- state codecs
-
-def encode_state(state: Dict[str, Any]) -> Dict[str, Any]:
-    """JSON-able encoding of a :meth:`Binding.clone_state` snapshot."""
-    return {
-        "op_fu": dict(state["op_fu"]),
-        "op_swap": dict(state["op_swap"]),
-        "placements": [[value, step, list(regs)]
-                       for (value, step), regs
-                       in sorted(state["placements"].items())],
-        "read_src": [[op_name, port, reg]
-                     for (op_name, port), reg
-                     in sorted(state["read_src"].items())],
-        "out_src": dict(state["out_src"]),
-        "pt_impl": [[value, step, reg, list(impl)]
-                    for (value, step, reg), impl
-                    in sorted(state["pt_impl"].items())],
-    }
-
-
-def decode_state(data: Dict[str, Any]) -> Dict[str, Any]:
-    """Inverse of :func:`encode_state` (load it with ``from_state``)."""
-    return {
-        "op_fu": dict(data["op_fu"]),
-        "op_swap": dict(data["op_swap"]),
-        "placements": {(value, step): tuple(regs)
-                       for value, step, regs in data["placements"]},
-        "read_src": {(op_name, port): reg
-                     for op_name, port, reg in data["read_src"]},
-        "out_src": dict(data["out_src"]),
-        "pt_impl": {(value, step, reg): tuple(impl)
-                    for value, step, reg, impl in data["pt_impl"]},
-    }
-
-
 class SanitizerError(ReproError):
     """A shadow-state or round-trip invariant was violated.
 
     Carries enough structure to reproduce the failure offline:
     the context label of the search that tripped it, the offending move
-    (name and attempt index), the individual violations, and the encoded
-    decision-state snapshot at the moment of the failure.
+    (name and attempt index), the individual violations, and the
+    decision-state snapshot at the moment of the failure, encoded as the
+    decision sections of a binding document
+    (:func:`repro.core.snapshot.state_to_dict`).
     """
 
     def __init__(self, message: str, *, context: str = "",
@@ -101,12 +68,16 @@ class SanitizerError(ReproError):
         self.move_name = move_name
         self.move_index = move_index
         self.problems = list(problems or [])
+        # deferred like every core import here: repro.core.improve
+        # imports this module
+        from repro.core.snapshot import state_to_dict
+
         self.reproducer: Dict[str, Any] = {
             "context": context,
             "move_name": move_name,
             "move_index": move_index,
             "problems": self.problems,
-            "state": encode_state(state) if state is not None else None,
+            "state": state_to_dict(state) if state is not None else None,
         }
         detail = f"sanitizer: {message}"
         if move_name is not None:

@@ -111,7 +111,6 @@ def test_small_scenario_pipeline_is_deterministic(family):
     assert first.mux_count == second.mux_count
     assert first.checker_violations == 0
     assert first.cost_total > 0
-    assert first.moves > 0
 
 
 def test_committed_golden_spot_check():
@@ -149,7 +148,8 @@ def test_render_table_has_all_scenarios():
     row = run_scenario(scenario, budget=TINY, restarts=1)
     table = render_table([row])
     assert row.scenario in table
-    assert "moves/s" in table
+    # quality only: perfbench's zoo-pipeline times these families
+    assert "cost" in table and "moves/s" not in table
 
 
 # -------------------------------------------------------------------- the CLI
@@ -167,7 +167,9 @@ def test_cli_sweep_writes_json(tmp_path, capsys):
                        "--restarts", "1", "--json", str(path)]) == 0
     report = json.loads(path.read_text())
     assert list(report["rows"]) == ["loopy-chains2-depth2-s1"]
-    assert report["rows"]["loopy-chains2-depth2-s1"]["cost_total"] > 0
+    row = report["rows"]["loopy-chains2-depth2-s1"]
+    assert row["cost_total"] > 0
+    assert not {"moves", "moves_per_sec", "seconds"} & set(row)
     assert "loopy-chains2-depth2-s1" in capsys.readouterr().out
 
 

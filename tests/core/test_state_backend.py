@@ -18,15 +18,17 @@ import random
 
 import pytest
 
+from repro.analysis.figures import build_passthrough_binding
 from repro.bench import discrete_cosine_transform, elliptic_wave_filter
+from repro.bench.runner import allocate_scenario
+from repro.bench.zoo import FAMILIES, Scenario
 from repro.datapath.units import HardwareSpec, make_registers
 from repro.errors import BindingError
 from repro.sched.explore import schedule_graph
 from repro.core import ImproveConfig, improve, initial_allocation
 from repro.core.binding import Binding
-from repro.core.moves import MoveSet
-from repro.core.snapshot import BindingState
-from repro.verify.sanitizer import decode_state, encode_state
+from repro.core.moves import MoveSet, move_value_split
+from repro.core.snapshot import BindingState, state_from_dict, state_to_dict
 
 SPEC = HardwareSpec.non_pipelined()
 
@@ -47,6 +49,41 @@ def load(binding, state):
     return Binding.from_state(binding.schedule, list(binding.fus.values()),
                               list(binding.regs.values()), state,
                               binding.weights)
+
+
+def improved(bench, seed):
+    binding = fresh_binding(bench)
+    improve(binding, ImproveConfig(max_trials=1, moves_per_trial=150,
+                                   seed=seed))
+    return binding
+
+
+def with_value_copy(binding):
+    """*binding* after one R5 move: a live copy of a run of segments."""
+    assert move_value_split(binding, random.Random(0))
+    binding.flush()
+    return binding
+
+
+def zoo_binding(family):
+    return allocate_scenario(
+        Scenario.make(family, seed=0),
+        ImproveConfig(max_trials=1, moves_per_trial=150),
+        restarts=1).binding
+
+
+#: bindings whose decisions must survive the wire form: EWF and DCT after
+#: a search, one scenario per zoo family, the Figure 3 binding and a DCT
+#: binding given a value copy, which hold a pass-through and value copies
+#: whatever a search draws
+PAYLOAD_CASES = {
+    "ewf": lambda: improved("ewf", 4),
+    "dct": lambda: improved("dct", 7),
+    "fig3-passthrough": build_passthrough_binding,
+    "dct-value-copies": lambda: with_value_copy(improved("dct", 7)),
+    **{f"zoo-{family}": (lambda family=family: zoo_binding(family))
+       for family in sorted(FAMILIES)},
+}
 
 
 class TestSnapshotRoundTrips:
@@ -86,14 +123,15 @@ class TestSnapshotRoundTrips:
         assert list(binding.placements) == kept + [
             key for key in snap if key not in kept]
 
-    def test_payload_round_trip(self):
-        binding = fresh_binding("dct")
-        improve(binding, ImproveConfig(max_trials=1, moves_per_trial=150,
-                                       seed=7))
+    @pytest.mark.parametrize("case", PAYLOAD_CASES)
+    def test_payload_round_trip(self, case):
+        binding = PAYLOAD_CASES[case]()
         state = binding.clone_state()
-        decoded = decode_state(json.loads(json.dumps(encode_state(state))))
+        decoded = state_from_dict(json.loads(json.dumps(
+            state_to_dict(state))))
         assert decoded == state
         other = load(binding, decoded)
+        assert other.cost() == binding.cost()
         assert other.total_cost() == binding.total_cost()
         assert other.derived_snapshot() == binding.derived_snapshot()
         assert other.clone_state() == state
@@ -101,6 +139,11 @@ class TestSnapshotRoundTrips:
         # and loads, in sorted-segment order
         assert list(decoded["placements"]) == sorted(decoded["placements"])
         assert list(other.placements) == list(decoded["placements"])
+
+    def test_payload_cases_hold_a_passthrough_and_value_copies(self):
+        assert PAYLOAD_CASES["fig3-passthrough"]().pt_impl
+        copies = PAYLOAD_CASES["dct-value-copies"]().placements
+        assert any(len(regs) > 1 for regs in copies.values())
 
     def test_pickle_drops_derived_but_keeps_decisions(self):
         binding = fresh_binding("dct")

@@ -344,3 +344,29 @@ def test_restarts_over_the_cap_rejected():
     for value in (MAX_RESTARTS + 1, 10 ** 9):
         with pytest.raises(RequestError, match="bad restarts"):
             make_request(restarts=value)
+
+
+@pytest.mark.parametrize("engine,knobs", [
+    ("improve", {"max_trials": 10 ** 9, "moves_per_trial": 10 ** 9}),
+    ("improve", {"max_trials": 241}),          # x the default 1500 moves
+    ("improve", {"moves_per_trial": 15001}),   # x the default 24 trials
+    ("anneal", {"temperature_levels": 10 ** 9}),
+    ("anneal", {"moves_per_level": 10 ** 9}),
+    ("anneal", {"temperature_levels": 401}),   # x the default 900 moves
+])
+def test_search_budget_over_ten_times_the_default_rejected(engine, knobs):
+    # with no deadline, a pass's budget is how long it holds a worker
+    with pytest.raises(RequestError, match=f"bad {engine} budget"):
+        make_request(**{engine: knobs})
+
+
+@pytest.mark.parametrize("engine,knobs", [
+    ("improve", {"max_trials": 240}),
+    ("improve", {"max_trials": 24, "moves_per_trial": 15000}),
+    ("improve", {"max_trials": 3600, "moves_per_trial": 100}),
+    ("anneal", {"temperature_levels": 400}),
+    ("anneal", {"temperature_levels": 40, "moves_per_level": 9000}),
+])
+def test_search_budget_up_to_ten_times_the_default_admitted(engine, knobs):
+    request = make_request(engine=engine, **{engine: knobs})
+    assert getattr(request, engine) == knobs

@@ -19,9 +19,13 @@ from repro.service.jobs import (CANCELLED, DONE, FAILED, PROCESS_MODE,
                                 THREAD_MODE, JobManager, JobNotFoundError,
                                 QueueFullError)
 from repro.service.metrics import MetricsRegistry
-from repro.verify.sanitizer import SanitizerError, decode_state
+from repro.core.snapshot import DOCUMENT_SECTIONS, state_from_dict
+from repro.verify.sanitizer import SanitizerError
 
 FAST_BUDGET = {"max_trials": 1, "moves_per_trial": 60}
+#: the largest budget a request may ask for (10x the default 24 x 1500):
+#: a search that outlives every cancel and deadline these tests send
+LONG_BUDGET = {"max_trials": 24, "moves_per_trial": 15000}
 
 
 def make_manager(**kwargs):
@@ -138,7 +142,7 @@ def test_warm_start_reuses_shape_snapshot(manager_setup):
 #: sha256 of the warm-started result of ``test_warm_start_result_is_pinned``
 #: minus its wall-time and sampled-phase fields
 WARM_START_DIGEST = (
-    "0c1fb72bf811bc29ad5e36dcfa3eeca28f560dea60fc223e9053b2f0772c4919")
+    "7cecbaf5980cf8a9d59b472181483cc5d955f8bf47edf6e853633d6020aadd99")
 
 
 def _result_digest(result):
@@ -177,8 +181,9 @@ def test_warm_start_result_is_pinned(mode):
 
 
 def test_warm_snapshot_is_an_encoded_state(manager_setup, monkeypatch):
-    """The warm store holds ``encode_state`` under the warm format marker,
-    and a warm-started job restores it as a decoded name-keyed state."""
+    """The warm store holds the decision sections of the reply's binding
+    document under the warm format marker, and a warm-started job
+    restores them as a decoded name-keyed state."""
     import repro.service.jobs as jobs_mod
 
     manager, cache, _ = manager_setup
@@ -187,7 +192,9 @@ def test_warm_snapshot_is_an_encoded_state(manager_setup, monkeypatch):
     assert job.status == DONE
     blob = json.loads(cache.get("warm_" + job.shape_key).decode("utf-8"))
     assert blob["format"] == jobs_mod.WARM_FORMAT
-    assert blob["state"] == job.result["best_state"]
+    document = job.result["binding"]
+    assert blob["state"] == {key: document[key]
+                             for key in DOCUMENT_SECTIONS}
 
     warm_states = []
     real_run = jobs_mod.run_restart
@@ -202,22 +209,35 @@ def test_warm_snapshot_is_an_encoded_state(manager_setup, monkeypatch):
     assert warm_job.status == DONE
     assert warm_job.result["warm_started"] is True
     assert warm_states
-    assert all(state == decode_state(blob["state"])
+    assert all(state == state_from_dict(blob["state"])
                for state in warm_states)
 
 
 def test_name_keyed_warm_snapshot_is_a_cold_start(manager_setup):
     """Only a snapshot under the current warm format warms a search: the
-    column payload of earlier releases and a bare, unmarked
-    ``encode_state`` snapshot are both cold starts."""
+    column payload and the list-of-lists ``binding-state-v2`` snapshot of
+    earlier releases, and bare, unmarked decision sections, are all cold
+    starts."""
     manager, cache, metrics = manager_setup
     job, _ = manager.submit(fast_request(seed=5))
     assert job.wait(120)
     assert job.status == DONE
     old_format = {"format": "compact-state-v1", "tables": {}, "pool": [[]]}
-    unmarked = job.result["best_state"]
+    document = job.result["binding"]
+    unmarked = {key: document[key] for key in DOCUMENT_SECTIONS}
+    # the previous release's encoding of the same decisions
+    v2 = {"format": "binding-state-v2", "state": {
+        "op_fu": document["op_fu"], "op_swap": document["op_swap"],
+        "placements": [[p["value"], p["step"], p["regs"]]
+                       for p in document["placements"]],
+        "read_src": [[r["op"], r["port"], r["reg"]]
+                     for r in document["read_src"]],
+        "out_src": document["out_src"],
+        "pt_impl": [[t["value"], t["dst_step"], t["dst_reg"],
+                     [t["src_reg"], t["fu"], t["port"]]]
+                    for t in document["passthroughs"]]}}
 
-    for seed, blob in ((6, old_format), (7, unmarked)):
+    for seed, blob in ((6, old_format), (7, unmarked), (8, v2)):
         cache.put("warm_" + job.shape_key,
                   canonical_dumps(blob).encode("utf-8"))
         warm_job, _ = manager.submit(fast_request(seed=seed,
@@ -366,8 +386,7 @@ def test_cancel_queued_job():
 
 def test_cancel_running_job_stops_the_search(manager_setup):
     manager, _, metrics = manager_setup
-    request = fast_request(
-        improve={"max_trials": 100, "moves_per_trial": 10000})
+    request = fast_request(improve=LONG_BUDGET)
     job, _ = manager.submit(request)
     deadline = time.monotonic() + 10
     while job.started_at is None and time.monotonic() < deadline:
@@ -491,9 +510,9 @@ def test_coalesced_cancel_last_waiter_cancels_for_real():
 
         manager._run_search = slow
         job, _ = manager.submit(fast_request(
-            improve={"max_trials": 100, "moves_per_trial": 10000}))
+            improve=LONG_BUDGET))
         again, _ = manager.submit(fast_request(
-            improve={"max_trials": 100, "moves_per_trial": 10000}))
+            improve=LONG_BUDGET))
         assert again is job
         # this test exercises the RUNNING cancel path: without the wait,
         # both cancels can land before the worker dequeues the job and the

@@ -30,6 +30,9 @@ needs_fork = pytest.mark.skipif(_fork_context() is None,
                                 reason="fork start method unavailable")
 
 FAST_BUDGET = {"max_trials": 1, "moves_per_trial": 60}
+#: the largest budget a request may ask for (10x the default 24 x 1500):
+#: a search that outlives every cancel and deadline these tests send
+LONG_BUDGET = {"max_trials": 24, "moves_per_trial": 15000}
 
 
 def fast_request(**overrides):
@@ -138,7 +141,7 @@ def test_process_mode_cancel_crosses_the_boundary():
     try:
         job, _ = manager.submit(fast_request(
             restarts=2,
-            improve={"max_trials": 500, "moves_per_trial": 20000}))
+            improve=LONG_BUDGET))
         deadline = time.monotonic() + 30
         while job.started_mono is None and time.monotonic() < deadline:
             time.sleep(0.01)
@@ -157,7 +160,7 @@ def test_process_mode_deadline_degrades_not_fails():
     try:
         request = fast_request(
             deadline_ms=300, restarts=3,
-            improve={"max_trials": 500, "moves_per_trial": 20000})
+            improve=LONG_BUDGET)
         job, _ = manager.submit(request)
         assert job.wait(180)
         assert job.status == DONE
@@ -325,13 +328,13 @@ def test_sigterm_shuts_the_served_pool_down():
 #: ``_result_digest``) for the seeded requests built by ``engine_request``
 ENGINE_MODE_DIGESTS = {
     ("improve", "salsa"):
-        "7193933dba5d49c5d16c84ad2b3d122f2c93e57d76ccd052cda9d77616f549d5",
+        "ffe154793308be8ac0372b7531657ace302b6f2d6f76884c16532f4ed56473c9",
     ("improve", "traditional"):
-        "bc28b54b4b3d0e8c54e46200e5803797812f013372a56695cc35c2f37e6169f8",
+        "d4d605333d405331328ea689c984971e5468ede8820dcc37d3cf300e72bab341",
     ("anneal", "salsa"):
-        "d21143575d4e3a235f2bd44e40b4022529eda7fbb8f3bf6ea1f021bd09b01788",
+        "46e232157b3240ed55046ffba3f812cd3b91c4e9257f7d6ff6cab9b3cbece17c",
     ("anneal", "traditional"):
-        "72fc7686df51634b7d2d6529971c96a6a6a6c968413d90ea4524e5cf9e144c91",
+        "2c5178a30ff7c80dfaa44d0bc76f22f4d39385650d03b87ef7d2f0e35dec42c8",
 }
 
 

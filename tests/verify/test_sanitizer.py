@@ -10,12 +10,12 @@ from repro.core.improve import ImproveConfig, improve
 from repro.core.initial import initial_allocation
 from repro.core.parallel import RestartJob, run_restart
 from repro.core.polish import _ReuseScope, polish
+from repro.core.snapshot import state_from_dict, state_to_dict
 from repro.datapath.units import make_registers
 from repro.sched.explore import schedule_graph
 from repro.verify.fuzz import BrokenRollbackMoveSet
 from repro.verify.sanitizer import (SANITIZE_ENV, SanitizerError,
-                                    ShadowSanitizer, decode_state,
-                                    encode_state, make_sanitizer,
+                                    ShadowSanitizer, make_sanitizer,
                                     sanitize_enabled)
 
 
@@ -64,15 +64,17 @@ class TestReadOnly:
 
 
 class TestStateCodec:
+    """The reproducer's state is a binding document's decision sections."""
+
     def test_encode_decode_roundtrip(self, diffeq_binding):
         state = diffeq_binding.clone_state()
-        encoded = encode_state(state)
+        encoded = state_to_dict(state)
         json.dumps(encoded)  # must be JSON-serializable as-is
-        assert decode_state(encoded) == state
+        assert state_from_dict(encoded) == state
 
     def test_decoded_state_is_restorable(self, diffeq, nonpipe_spec):
         binding = _fresh_binding(diffeq, nonpipe_spec)
-        snapshot = decode_state(encode_state(binding.clone_state()))
+        snapshot = state_from_dict(state_to_dict(binding.clone_state()))
         shadow = Binding.from_state(
             binding.schedule, list(binding.fus.values()),
             list(binding.regs.values()), snapshot, binding.weights)
@@ -117,7 +119,8 @@ class TestShadowCheck:
         assert err.reproducer["context"] == "unit"
         assert err.reproducer["state"] is not None
         payload = json.loads(err.to_json())
-        assert decode_state(payload["state"])  # restorable snapshot shape
+        # restorable: the decision sections of b's binding document
+        assert state_from_dict(payload["state"]) == b.clone_state()
 
 
 class TestInjectedUndoBug:
