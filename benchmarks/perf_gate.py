@@ -11,8 +11,11 @@ bound; traced ``core.restore_us`` may rise to :data:`RESTORE_CEILING`
 times the reference.  That ceiling keeps the search's restore on the bulk
 copy of ``Binding.restore_state``: re-deriving it through the primitives,
 as ``Binding.from_state`` does, measured over 5x the reference (597-692
-µs against 106 µs on a 2-CPU container).  A failed operation fails the
-gate.  Exit 0 held, 1 failed, 2 bad usage.
+µs against 106 µs on a 2-CPU container).  Where the reference reports
+``quality_cost_sum`` (the untraced lines), the run's must equal it
+exactly: every reference is ``--seed 0`` and the sum is deterministic per
+seed, so a speed-up that moves a seeded search trajectory fails here.  A
+failed operation fails the gate.  Exit 0 held, 1 failed, 2 bad usage.
 """
 
 import json
@@ -29,6 +32,9 @@ GATES = {
 }
 
 RESTORE_CEILING = 3.0
+
+#: must equal the reference exactly wherever the reference reports it
+QUALITY = "quality_cost_sum"
 
 
 def last_result(path):
@@ -55,9 +61,15 @@ def main(argv):
                       for row in json.load(handle)["end_to_end"]}
         limit = (1.0 - bounds[metric]) * base
         held = value >= limit
+    quality = ""
+    if QUALITY in reference["metrics"]:
+        want = reference["metrics"][QUALITY]["value"]
+        got = run["metrics"][QUALITY]["value"]
+        held = held and got == want
+        quality = f"{QUALITY} {got!r} against {want!r}; "
     held = held and run["correct"] and run["failed"] == 0
     print(f"{metric}: {value:.6g} against reference {base:.6g}, limit "
-          f"{limit:.6g}; {run['failed']} failed operations: "
+          f"{limit:.6g}; {quality}{run['failed']} failed operations: "
           f"{'ok' if held else 'FAIL'}")
     return 0 if held else 1
 

@@ -614,14 +614,9 @@ class Binding:
     def _mark(self, key: SiteKey) -> None:
         self._dirty.add(key)
 
-    def _mark_segment_sites(self, value: str, step: int,
-                            dirty: Optional[Set[SiteKey]] = None) -> None:
-        """Mark the sites a placement change at ``(value, step)`` touches.
-
-        They go into *dirty*, by default the binding's own dirty set.
-        """
-        if dirty is None:
-            dirty = self._dirty
+    def _mark_segment_sites(self, value: str, step: int) -> None:
+        """Mark the sites a placement change at ``(value, step)`` touches."""
+        dirty = self._dirty
         if self._pred_step[(value, step)] is None:
             dirty.add(("write", value))
         dirty.add(("xfer", value, step))
@@ -631,10 +626,10 @@ class Binding:
         if (value, step) in self._out_sample_sites:
             dirty.add(("out", value))
 
-    # The _derive_* rules read the decision dicts; the placement, read
-    # -source and out-source lookups can be swapped for hypothetical ones,
-    # which is how placement_terms() derives a candidate's events without
-    # applying it.
+    # The _derive_* rules derive one site's events from the live decision
+    # dicts.  flush() runs them on the dirty sites, and _derive() on every
+    # site for the checker's from-scratch ledger; placement_terms() builds
+    # a candidate's events inline instead (see there).
 
     def _derive(self, key: SiteKey) -> List[Tuple]:
         kind = key[0]
@@ -648,15 +643,13 @@ class Binding:
             return self._derive_out(key[1])
         raise BindingError(f"unknown site {key}")
 
-    def _derive_read(self, op_name: str,
-                     read_src: Optional[Mapping] = None) -> List[Tuple]:
+    def _derive_read(self, op_name: str) -> List[Tuple]:
         fu_name = self.op_fu.get(op_name)
         if fu_name is None:
             return []
         swap = self.op_swap.get(op_name, False) \
             and op_name in self._swappable
-        if read_src is None:
-            read_src = self.read_src
+        read_src = self.read_src
         reg_out_ep = self._reg_out_ep
         fu_in_ep = self._fu_in_ep
         events = []
@@ -668,35 +661,37 @@ class Binding:
             events.append((reg_out_ep[reg], fu_in_ep[(fu_name, eff_port)]))
         return events
 
-    def _derive_write(self, value: str,
-                      placements: Optional[Mapping] = None) -> List[Tuple]:
+    def _write_source(self, value: str) -> Optional[Tuple]:
+        """The endpoint that writes *value* at its birth, if bound."""
         src = self._in_port_ep.get(value)
         if src is None:
             producer = self._producer[value]
             if producer is None:
-                return []
+                return None
             fu_name = self.op_fu.get(producer)
             if fu_name is None:
-                return []
+                return None
             src = self._fu_out_ep[fu_name]
+        return src
+
+    def _derive_write(self, value: str) -> List[Tuple]:
+        src = self._write_source(value)
+        if src is None:
+            return []
         if value in self._port_captured:
             # straight from the FU to the output port, no register
             out_ep = self._out_port_ep.get(value)
             return [(src, out_ep)] if out_ep is not None else []
-        if placements is None:
-            placements = self.placements
         reg_in_ep = self._reg_in_ep
         return [(src, reg_in_ep[reg])
-                for reg in placements.get(
+                for reg in self.placements.get(
                     (value, self._interval[value].birth), ())]
 
-    def _derive_xfer(self, value: str, dst_step: int,
-                     placements: Optional[Mapping] = None) -> List[Tuple]:
+    def _derive_xfer(self, value: str, dst_step: int) -> List[Tuple]:
         src_step = self._pred_step[(value, dst_step)]
         if src_step is None:
             return []
-        if placements is None:
-            placements = self.placements
+        placements = self.placements
         prev = placements.get((value, src_step), ())
         if not prev:
             return []
@@ -722,14 +717,11 @@ class Binding:
                 events.append((reg_out_ep[prev[0]], reg_in_ep[dst]))
         return events
 
-    def _derive_out(self, value: str,
-                    out_src: Optional[Mapping] = None) -> List[Tuple]:
+    def _derive_out(self, value: str) -> List[Tuple]:
         out_ep = self._out_port_ep.get(value)
         if out_ep is None or value in self._port_captured:
             return []
-        if out_src is None:
-            out_src = self.out_src
-        reg = out_src.get(value)
+        reg = self.out_src.get(value)
         if reg is None:
             return []
         return [(self._reg_out_ep[reg], out_ep)]
@@ -881,12 +873,23 @@ class Binding:
         *changes* maps ``(value, step)`` to its new register tuple; every
         segment is assumed legal to place there (free or already held).
         The result describes what ``set_placements`` plus
-        ``fixup_segment`` on every listed segment would do: the
-        read/out-source repair re-points to the new primary register, the
-        dirtied sites' old events come from the site table, their new
-        events from the same ``_derive_*`` rules :meth:`flush` uses (over
-        hypothetical lookups), and the ledger prices the net
-        connection-use change.  The binding is not touched.
+        ``fixup_segment`` on every listed segment would do, and the
+        binding is not touched.
+
+        One pass over *changes* collects what the change dirties: the
+        transfers into and out of each changed segment, the write of a
+        changed birth segment, and each read or output source the repair
+        re-points to the new primary register.  Each of those sites' new
+        events is then built inline, every placement read from *changes*
+        over the live ``placements`` (nothing is copied), and its old
+        events come from the site table.  A transfer site with no events
+        before and none after is skipped.  Since no changed value has a
+        pass-through, a transfer's events are the direct connections from
+        the source segment's primary register, exactly what
+        ``_derive_xfer`` would give.  The ledger then prices the net
+        connection-use change.  The ``_derive_*`` rules are not called:
+        they read only the live dicts, and pricing through them meant
+        copying ``placements`` (and ``read_src``) per candidate.
 
         Returns ``((Δreg, Δmux, Δwire, Δdepth), Δuses)``: the change of
         the used-register count and of the three ledger totals, and the
@@ -911,10 +914,15 @@ class Binding:
         out_src = self.out_src
         reads_at = self._reads_at
         out_sites = self._out_sample_sites
-        mark = self._mark_segment_sites
-        sites: Set[SiteKey] = set()
+        pred_step = self._pred_step
+        succ_step = self._succ_step
+        reg_out_ep = self._reg_out_ep
+        reg_in_ep = self._reg_in_ep
+        events = self._site_events
+        # (old events, new events) of every site the change may move
+        rederived: List[Tuple[List[Tuple], List[Tuple]]] = []
+        xfers: Set[Tuple[str, int]] = set()
         new_reads: Dict[Tuple[str, int], str] = {}
-        new_outs: Dict[str, str] = {}
         freed: List[str] = []
         taken: List[str] = []
         for seg, regs in changes.items():
@@ -924,39 +932,68 @@ class Binding:
             if regs != old:
                 freed.extend(old)
                 taken.extend(regs)
-                mark(seg[0], seg[1], sites)
+                if pred_step[seg] is None:
+                    # the birth segment: no transfer in, the write moves
+                    value = seg[0]
+                    src = self._write_source(value)
+                    rederived.append((
+                        events.get(("write", value), _NO_EVENTS),
+                        [] if src is None
+                        else [(src, reg_in_ep[reg]) for reg in regs]))
+                else:
+                    xfers.add(seg)
+                succ = succ_step[seg]
+                if succ is not None:
+                    xfers.add((seg[0], succ))
             # fixup_segment's source repair
             for site in reads_at.get(seg, ()):
                 if read_src.get(site) not in regs:
                     new_reads[site] = regs[0]
-                    sites.add(("read", site[0]))
             if seg in out_sites and out_src.get(seg[0]) not in regs:
-                new_outs[seg[0]] = regs[0]
-                sites.add(("out", seg[0]))
+                value = seg[0]
+                rederived.append((events.get(("out", value), _NO_EVENTS),
+                                  [(reg_out_ep[regs[0]],
+                                    self._out_port_ep[value])]))
 
-        view = placements.copy()
-        view.update(changes)
+        for seg in xfers:
+            value = seg[0]
+            old_events = events.get(("xfer", value, seg[1]), _NO_EVENTS)
+            src = (value, pred_step[seg])
+            prev = changes.get(src) or placements.get(src, ())
+            cur = changes.get(seg) or placements.get(seg, ())
+            if not prev or cur == prev:
+                # no transfer after the change
+                if old_events:
+                    rederived.append((old_events, _NO_EVENTS))
+                continue
+            source = reg_out_ep[prev[0]]
+            new_events = [(source, reg_in_ep[dst])
+                          for dst in cur if dst not in prev]
+            if new_events or old_events:
+                rederived.append((old_events, new_events))
         if new_reads:
-            read_src = read_src.copy()
-            read_src.update(new_reads)
-        if new_outs:
-            out_src = out_src.copy()
-            out_src.update(new_outs)
-        events = self._site_events
-        derive_xfer = self._derive_xfer
+            op_fu = self.op_fu
+            fu_in_ep = self._fu_in_ep
+            for op_name in {op_name for op_name, _port in new_reads}:
+                fu_name = op_fu.get(op_name)
+                new_events = []
+                if fu_name is not None:
+                    swap = self.op_swap.get(op_name, False) \
+                        and op_name in self._swappable
+                    for port in self._read_ports[op_name]:
+                        reg = new_reads.get((op_name, port)) \
+                            or read_src.get((op_name, port))
+                        if reg is None:
+                            continue
+                        eff_port = (1 - port) if swap else port
+                        new_events.append((reg_out_ep[reg],
+                                           fu_in_ep[(fu_name, eff_port)]))
+                rederived.append((events.get(("read", op_name), _NO_EVENTS),
+                                  new_events))
+
         use_delta: Dict[Tuple, int] = {}
         delta_get = use_delta.get
-        for key in sites:
-            kind = key[0]
-            if kind == "xfer":
-                new_events = derive_xfer(key[1], key[2], view)
-            elif kind == "read":
-                new_events = self._derive_read(key[1], read_src)
-            elif kind == "write":
-                new_events = self._derive_write(key[1], view)
-            else:
-                new_events = self._derive_out(key[1], out_src)
-            old_events = events.get(key, _NO_EVENTS)
+        for old_events, new_events in rederived:
             if new_events == old_events:
                 continue
             for pair in old_events:

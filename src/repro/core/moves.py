@@ -212,10 +212,9 @@ def _best_pt_choice(binding: Binding, rng: random.Random, value: str,
     choice on the connection uses the binding would have after that
     unapplied change; the candidates and the tie-break draw are the same
     as after applying it."""
-    from repro.datapath.interconnect import fu_in, fu_out, reg_in, reg_out
-
+    fu_tokens = binding.fu_tokens
     pt_fus = [n for n in binding.pt_capable_fus
-              if binding.fu_free(n, src_step)]
+              if (n, src_step) not in fu_tokens]
     if not pt_fus:
         return None
     ledger_uses = binding.ledger.uses
@@ -224,13 +223,19 @@ def _best_pt_choice(binding: Binding, rng: random.Random, value: str,
             return ledger_uses(src, sink) + delta.get((src, sink), 0)
     else:
         uses = ledger_uses
+    reg_out_ep = binding._reg_out_ep
+    fu_in_ep = binding._fu_in_ep
+    fu_out_ep = binding._fu_out_ep
+    sink = binding._reg_in_ep[dst_reg]
     best: List[Tuple[str, str, int]] = []
     best_new = None
-    for src_reg in binding.segment_regs(value, src_step):
+    for src_reg in binding.placements.get((value, src_step), ()):
+        source = reg_out_ep[src_reg]
         for fu_name in pt_fus:
+            out_new = int(uses(fu_out_ep[fu_name], sink) == 0)
             for port in (0, 1):
-                new = int(uses(reg_out(src_reg), fu_in(fu_name, port)) == 0)
-                new += int(uses(fu_out(fu_name), reg_in(dst_reg)) == 0)
+                new = int(uses(source, fu_in_ep[(fu_name, port)]) == 0) \
+                    + out_new
                 if best_new is None or new < best_new:
                     best_new, best = new, [(src_reg, fu_name, port)]
                 elif new == best_new:

@@ -11,7 +11,13 @@ The three placement sweeps (R4 value moves, R3 value exchanges, R2b
 segment hops) price each candidate first with
 :meth:`~repro.core.binding.Binding.placement_terms`, which leaves the
 binding untouched; only a candidate priced as a strict improvement is
-applied.  A hop that creates a transfer is also priced with the best
+applied.  The pricer makes one pass over the candidate's change map: it
+reads each changed segment from the map over the live ``placements``,
+the read and output sources the repair would re-point, and the old
+events of the dirtied sites from the site table, and builds only those
+sites' new events.  It copies no decision dict and skips a transfer
+that has no events before the change and none after.  A hop that
+creates a transfer is also priced with the best
 pass-through on top (:meth:`~repro.core.binding.Binding.price_passthrough`),
 choosing it on the uses the hop would leave, so the tie-break RNG is
 drawn exactly as if the hop had been applied; a kept hop applies the
@@ -23,7 +29,10 @@ Within one :func:`polish` call prices are reused: the integer terms of
 each R3, R4 and R2b candidate stay valid until the next kept candidate,
 since only a keep changes the state a price depends on
 (:class:`_ReuseScope`; under ``REPRO_SANITIZE=1`` every reuse is
-re-priced and compared).  A sweep called on its own gets a fresh scope.
+re-priced and compared).  A candidate's change map is built only when
+its price is not reused; the R3 pairs are enumerated once per call,
+each with its reuse key and the segment keys a priced reject requeues.
+A sweep called on its own gets a fresh scope.
 
 Every applied candidate — and every candidate of the other sweeps, and
 an R3/R4/R2b candidate on a value with a pass-through, which cannot be
@@ -52,6 +61,8 @@ from repro.verify.sanitizer import SanitizerError, sanitize_enabled
 
 #: a placement change: segment ``(value, step)`` -> its new registers
 Changes = Mapping[Tuple[str, int], Tuple[str, ...]]
+#: an R3 candidate ``(v1, v2, shared steps, reuse key, requeued keys)``
+Exchange = Tuple[str, str, List[int], Tuple, List[Tuple[str, int]]]
 
 
 def _tie_rng(rng: Optional[random.Random]) -> random.Random:
@@ -84,28 +95,31 @@ class _ReuseScope:
         self.generation = 0
         #: candidate key -> (generation priced in, its terms or None)
         self._entries: Dict[Tuple, Tuple[int, Optional[PriceTerms]]] = {}
-        self._pairs: Optional[List[Tuple[str, str, List[int]]]] = None
+        self._pairs: Optional[List[Exchange]] = None
         self._check = sanitize_enabled()
 
     def kept(self) -> None:
         """A candidate was kept: every stored price is stale."""
         self.generation += 1
 
-    def exchange_pairs(self) -> List[Tuple[str, str, List[int]]]:
-        """The R3 candidate pairs, built once (static for a binding)."""
+    def exchange_pairs(self) -> List[Exchange]:
+        """The R3 candidates, built once (static for a binding): each
+        pair of :func:`_exchange_pairs` with its reuse key and the
+        segment keys a priced reject requeues."""
         if self._pairs is None:
-            self._pairs = _exchange_pairs(self.binding)
+            self._pairs = [(v1, v2, shared) + _exchange_keys(v1, v2, shared)
+                           for v1, v2, shared in _exchange_pairs(self.binding)]
         return self._pairs
 
-    def terms(self, key: Tuple, changes: Callable[[], Changes]
-              ) -> Optional[PriceTerms]:
+    def terms(self, key: Tuple, changes: Callable[..., Changes],
+              *args) -> Optional[PriceTerms]:
         """The :meth:`~repro.core.binding.Binding.placement_terms` of
-        the change ``changes()`` — built only if needed — for the
+        the change ``changes(*args)`` — built only if needed — for the
         candidate named *key*."""
         entry = self._entries.get(key)
         if entry is not None and entry[0] == self.generation:
             if self._check:
-                fresh = self.binding.placement_terms(changes())
+                fresh = self.binding.placement_terms(changes(*args))
                 if fresh != entry[1]:
                     raise SanitizerError(
                         "a reused polish price differs from a fresh one",
@@ -115,7 +129,7 @@ class _ReuseScope:
                                   f"{entry[1]!r}, fresh {fresh!r}"],
                         state=self.binding.clone_state())
             return entry[1]
-        terms = self.binding.placement_terms(changes())
+        terms = self.binding.placement_terms(changes(*args))
         self._entries[key] = (self.generation, terms)
         return terms
 
@@ -215,14 +229,18 @@ def _value_move_targets(binding: Binding
                         break
 
 
+def _run_changes(value: str, steps: Sequence[int], reg: str) -> Changes:
+    """The segments of *value* at *steps*, each placed in *reg* alone."""
+    return {(value, step): (reg,) for step in steps}
+
+
 def _try_value_move(binding: Binding, value: str, steps: Sequence[int],
                     reg: str, current: float,
                     prices: Optional[_ReuseScope] = None) -> Optional[float]:
     """Price one R4 candidate and apply it only if that improves; the
     new cost if kept.  A priced reject leaves the binding as it was."""
     prices = _scope(binding, prices)
-    terms = prices.terms(("R4", value, reg),
-                         lambda: {(value, step): (reg,) for step in steps})
+    terms = prices.terms(("R4", value, reg), _run_changes, value, steps, reg)
     if terms is not None and binding.price_of(terms[0]) >= current - 1e-9:
         return None
     binding.begin_move()
@@ -251,8 +269,8 @@ def _try_hop(binding: Binding, value: str, run: Sequence[int],
     its tie-break exactly once per candidate, as applying it would."""
     prices = _scope(binding, prices)
     dst_step = run[0]
-    terms = prices.terms(("R2b", value, dst_step, reg),
-                         lambda: {(value, step): (reg,) for step in run})
+    terms = prices.terms(("R2b", value, dst_step, reg), _run_changes, value,
+                         run, reg)
     if terms is None:
         return _try_hop_journaled(binding, value, run, src_step, reg,
                                   current, rng, prices)
@@ -304,20 +322,25 @@ def _hop_targets(binding: Binding
     transfer coming from ``src_step``.  Lazy, so each register is checked
     against the binding as it stands then; the run's current register is
     read once per cut, before any of its candidates is tried."""
+    placements = binding.placements
+    reg_occ = binding.reg_occ
+    regs_sorted = binding.regs_sorted
     for value in binding.movable_multi_step:
         steps = binding.interval(value).steps
         for cut in range(1, len(steps)):
             run = steps[cut:]
-            if any(len(binding.segment_regs(value, s)) != 1 for s in run):
+            if any(len(placements.get((value, s), ())) != 1 for s in run):
                 continue
             src_step = steps[cut - 1]
-            cur_reg = binding.segment_regs(value, run[0])[0]
-            for reg in binding.regs_sorted:
+            cur_reg = placements[(value, run[0])][0]
+            for reg in regs_sorted:
                 if reg == cur_reg:
                     continue
-                if not all(binding.reg_free(reg, s) for s in run):
-                    continue
-                yield value, run, src_step, reg
+                for step in run:
+                    if (reg, step) in reg_occ:
+                        break
+                else:
+                    yield value, run, src_step, reg
 
 
 def sweep_segment_hops(binding: Binding, current: float,
@@ -353,6 +376,14 @@ def _exchange_pairs(binding: Binding) -> List[Tuple[str, str, List[int]]]:
             for (i, j), steps in sorted(shared.items())]
 
 
+def _exchange_keys(v1: str, v2: str, shared: Sequence[int]
+                   ) -> Tuple[Tuple, List[Tuple[str, int]]]:
+    """An R3 candidate's reuse key, and the segment keys a priced reject
+    requeues: applying and aborting the exchange would re-insert each
+    ``(v1, step)`` key, latest step first."""
+    return ("R3", v1, v2), [(v1, step) for step in reversed(shared)]
+
+
 def _exchanged_placements(binding: Binding, v1: str, v2: str,
                           shared: Sequence[int]) -> Changes:
     """The segments an R3 candidate changes, with their new registers."""
@@ -365,18 +396,21 @@ def _exchanged_placements(binding: Binding, v1: str, v2: str,
 
 
 def _try_exchange(binding: Binding, v1: str, v2: str, shared: Sequence[int],
-                  current: float,
-                  prices: Optional[_ReuseScope] = None) -> Optional[float]:
+                  current: float, prices: Optional[_ReuseScope] = None,
+                  key: Optional[Tuple] = None,
+                  requeue: Sequence[Tuple[str, int]] = ()
+                  ) -> Optional[float]:
     """Price one R3 candidate and apply it only if that improves; the
     new cost if kept.  A priced reject leaves the binding exactly as
-    applying and aborting the exchange would."""
+    applying and aborting the exchange would.  The sweep passes the
+    candidate's :func:`_exchange_keys`, built once per binding; a call
+    without them builds them."""
     prices = _scope(binding, prices)
-    terms = prices.terms(
-        ("R3", v1, v2),
-        lambda: _exchanged_placements(binding, v1, v2, shared))
+    if key is None:
+        key, requeue = _exchange_keys(v1, v2, shared)
+    terms = prices.terms(key, _exchanged_placements, binding, v1, v2, shared)
     if terms is not None and binding.price_of(terms[0]) >= current - 1e-9:
-        # the abort would re-insert each (v1, step) key, latest step first
-        binding.requeue_segments([(v1, step) for step in reversed(shared)])
+        binding.requeue_segments(requeue)
         return None
     binding.begin_move()
     _exchange_values(binding, v1, v2, shared)
@@ -388,8 +422,9 @@ def sweep_value_exchanges(binding: Binding, current: float,
     """Try swapping the placements of every pair of values stepwise at
     their shared live steps (exhaustive R1/R3 neighborhood)."""
     prices = _scope(binding, prices)
-    for v1, v2, shared in prices.exchange_pairs():
-        improved = _try_exchange(binding, v1, v2, shared, current, prices)
+    for v1, v2, shared, key, requeue in prices.exchange_pairs():
+        improved = _try_exchange(binding, v1, v2, shared, current, prices,
+                                 key, requeue)
         if improved is not None:
             current = improved
     return current

@@ -414,15 +414,19 @@ def cache_key_payload(request: AllocateRequest) -> Dict[str, Any]:
     """The full identity payload hashed by :func:`request_key`.
 
     Delivery options (deadline, warm-start permission) are deliberately
-    absent: they select *how hard* to try, not *what* the answer is.
+    absent: they select *how hard* to try, not *what* the answer is.  So
+    are the knobs of the engine the request does not run: an anneal
+    search never reads ``improve`` and an improve search never reads
+    ``anneal``, so the inactive engine's block is keyed as ``{}``.
     """
+    anneal = request.engine == "anneal"
     payload = _shape_payload(request)
     payload.update({
         "engine": request.engine,
         "seed": request.seed,
         "restarts": request.restarts,
-        "improve": dict(sorted(request.improve.items())),
-        "anneal": dict(sorted(request.anneal.items())),
+        "improve": {} if anneal else dict(sorted(request.improve.items())),
+        "anneal": dict(sorted(request.anneal.items())) if anneal else {},
     })
     # identity-bearing, but omitted when absent: requests without the
     # constraint keep the exact keys they had before the knob existed

@@ -52,6 +52,16 @@ def test_restore_may_rise_to_three_times_the_reference(tmp_path):
     assert gate(tmp_path, reference, "core.restore_us", 3.1) == 1
 
 
+@pytest.mark.parametrize("reference",
+                         ["perf_search_hotloop.json", "perf_zoo_pipeline.json"])
+def test_quality_must_equal_the_reference_exactly(tmp_path, reference):
+    # a seeded run's cost sum is deterministic: any change is a moved
+    # trajectory, whichever way it goes
+    assert gate(tmp_path, reference, "quality_cost_sum", 1.0) == 0
+    assert gate(tmp_path, reference, "quality_cost_sum", 1 + 1e-12) == 1
+    assert gate(tmp_path, reference, "quality_cost_sum", 1 - 1e-12) == 1
+
+
 def test_a_failed_operation_fails_the_gate(tmp_path):
     assert gate(tmp_path, "perf_search_hotloop.json", "moves_per_s", 1.0,
                 failed=1) == 1

@@ -56,6 +56,24 @@ def test_delivery_options_do_not_change_the_key():
     assert request_key(base) != request_key(make_request(engine="anneal"))
 
 
+def test_inactive_engine_knobs_do_not_change_the_key():
+    # an anneal search never reads the improve knobs, so both bodies get
+    # the same answer and must share one cache entry; and the reverse
+    anneal = {"temperature_levels": 2, "moves_per_level": 50}
+    plain = make_request(engine="anneal", anneal=anneal)
+    with_improve = make_request(engine="anneal", anneal=anneal,
+                                improve={"max_trials": 3})
+    assert request_key(plain) == request_key(with_improve)
+    assert request_key(make_request()) == \
+        request_key(make_request(anneal=anneal))
+    # the active engine's knobs still do
+    assert request_key(plain) != request_key(
+        make_request(engine="anneal", anneal={"temperature_levels": 3,
+                                              "moves_per_level": 50}))
+    assert request_key(make_request()) != \
+        request_key(make_request(improve={"max_trials": 3}))
+
+
 def test_warm_key_ignores_search_knobs():
     base = make_request()
     assert warm_key(base) == warm_key(make_request(seed=99))
